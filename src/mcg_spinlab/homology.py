@@ -455,6 +455,12 @@ def standard_j(g: int) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
+def pairing_vector(c: ClassInt) -> tuple[int, ...]:
+    """Coordinates of w = J c, the vector with w . v = <v, c> for every class v."""
+    g = c.basis.genus
+    return c.coords[g:] + tuple(-a for a in c.coords[:g])
+
+
 def transvection_matrix(c):
     """Matrix of v -> v + <v,c> c; entries T[i][j] = delta_ij + c_i (Jc)_j."""
     basis = c.basis
@@ -472,10 +478,7 @@ def transvection_matrix(c):
     if isinstance(c, ClassInt):
         if c.is_zero():
             raise PreconditionError("transvection along the zero class")
-        jc = [0] * n
-        for k in range(g):
-            jc[k] = c.coords[g + k]
-            jc[g + k] = -c.coords[k]
+        jc = pairing_vector(c)
         rows = tuple(
             tuple((1 if i == j else 0) + c.coords[i] * jc[j] for j in range(n)) for i in range(n)
         )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .factorization import PositiveFactorization
-from .homology import IntMatrix, PreconditionError, standard_j, transvection_matrix
+from .homology import IntMatrix, PreconditionError, pairing_vector, standard_j
 
 
 def euler_characteristic(p: PositiveFactorization) -> int:
@@ -129,10 +130,12 @@ def _signature_symmetric(gram: list[list[Fraction]]) -> int:
 
 
 def meyer_cocycle(a: IntMatrix, b: IntMatrix) -> int:
-    """Meyer's 2-cocycle on the symplectic group.
+    """Meyer's 2-cocycle on the symplectic group, for general A and B.
 
     Value: signature of the pairing <(x1,y1),(x2,y2)> = (x1+y1)^T J (I-B) y2
-    on the solution space {(x, y) : (A^-1 - I) x + (B - I) y = 0}.
+    on the solution space {(x, y) : (A^-1 - I) x + (B - I) y = 0}.  This is
+    the oracle for the rank-one term that ``signature_meyer`` evaluates when
+    B is a transvection.
     """
     n = a.n
     if b.n != n or n % 2:
@@ -173,20 +176,71 @@ def meyer_cocycle(a: IntMatrix, b: IntMatrix) -> int:
     return _signature_symmetric(gram)
 
 
-def signature_meyer(p: PositiveFactorization) -> int:
-    """Signature from the Meyer cocycle over the partial monodromy products.
+def _transvection_meyer_term(ainv: list[list[int]], c: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """meyer_cocycle(A, T_c), given the rows of A^-1 and w = J c.
 
-    Requires integer classes on every twist.  The sign normalization is fixed
-    by the known totals of the hyperelliptic words.
+    I - T_c = -c w^T has rank one, so the Meyer pairing on its solution space
+    is -s1 s2 (1 + w.x0) with s = w.y, where (A^-1 - I) x0 = -c.  The value is
+    -sign(1 + w.x0), or 0 when that system has no solution.
+    """
+    n = len(c)
+    rows = [[a - (i == j) for j, a in enumerate(row)] + [-c[i]] for i, row in enumerate(ainv)]
+    # integer Gauss-Jordan: fraction-free row operations, each changed row divided by its gcd
+    pivot_cols: list[int] = []
+    for col in range(n):
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(n):
+            f = rows[i][col]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                d = gcd(*row)
+                rows[i] = [a // d for a in row] if d > 1 else row
+        pivot_cols.append(col)
+    if any(row[n] for row in rows[len(pivot_cols):]):
+        return 0
+    # x0 is 0 off the pivot columns and row[n] / row[col] on them
+    weights = [(Fraction(w[col], row[col]), row) for col, row in zip(pivot_cols, rows) if w[col]]
+    # rank-one symmetry: w.k = 0 for the kernel vector k of each free column j,
+    # k_j = 1 and k_col = -row[j] / row[col] on the pivot columns
+    for j in range(n):
+        if j not in pivot_cols and w[j] != sum(f * row[j] for f, row in weights):
+            raise AssertionError("Meyer pairing failed to be symmetric")
+    value = 1 + sum(f * row[n] for f, row in weights)
+    return -1 if value > 0 else (1 if value < 0 else 0)
+
+
+def signature_meyer(p: PositiveFactorization) -> int:
+    """Signature as the Meyer-cocycle sum over the partial monodromy products.
+
+    With A_k = T_1 ... T_k, sigma = sum over k >= 1 of tau(A_k, T_{k+1}).  Each
+    T = T_c is a transvection, so tau(A, T_c) = -sign(1 + w.x0) with w = J c and
+    (A^-1 - I) x0 = -c, and tau = 0 when that system has no rational solution.
+    A^-1 is kept as integer rows and updated once per letter,
+    (A T_c)^-1 = A^-1 - c (w^T A^-1).  The sign convention is that of
+    ``meyer_cocycle``, fixed by the known totals of the hyperelliptic words.
+    Requires integer classes on every twist.
     """
     if not p.has_integer_classes():
         raise PreconditionError("Meyer signature needs integer classes on every twist")
-    mats = [transvection_matrix(c.int_class) for c in p.twists]
+    n = p.basis.dim
+    ainv = [[int(i == j) for j in range(n)] for i in range(n)]
     total = 0
-    partial = mats[0]
-    for nxt in mats[1:]:
-        total += meyer_cocycle(partial, nxt)
-        partial = partial @ nxt
+    for k, curve in enumerate(p.twists):
+        c = curve.int_class.coords
+        w = pairing_vector(curve.int_class)
+        if k:
+            total += _transvection_meyer_term(ainv, c, w)
+        support = [i for i in range(n) if w[i]]
+        wa = [sum(w[i] * ainv[i][j] for i in support) for j in range(n)]
+        for i in range(n):
+            if c[i]:
+                ainv[i] = [a - c[i] * b for a, b in zip(ainv[i], wa)]
     return total
 
 

@@ -364,7 +364,10 @@ def presentation_from_text(text: str) -> FinitePresentation:
             for tok in tokens:
                 if "^" in tok:
                     name, exp_text = tok.split("^", 1)
-                    exp = int(exp_text)
+                    try:
+                        exp = int(exp_text)
+                    except ValueError:
+                        raise PreconditionError(f"bad exponent in {tok!r}") from None
                 else:
                     name, exp = tok, 1
                 if name not in index:

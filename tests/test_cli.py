@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 
 
@@ -68,6 +70,15 @@ class TestThmA:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "thm-a", "--presentation", "/nonexistent.txt")
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("text", ["gens: a; rel: a^x;", "gens: a; rel: a^;"])
+    def test_malformed_exponent(self, tmp_path, capsys, text):
+        pres = tmp_path / "bad.txt"
+        pres.write_text(text)
+        code, out, err = run_cli(capsys, "thm-a", "--presentation", str(pres))
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert "exponent" in err
 
 
 class TestFamilies:

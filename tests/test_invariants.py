@@ -3,9 +3,16 @@ from fractions import Fraction
 import pytest
 
 from mcg_spinlab.factorization import Curve, PositiveFactorization
-from mcg_spinlab.homology import IntMatrix, PreconditionError, SurfaceBasis, transvection_matrix
+from mcg_spinlab.homology import (
+    IntMatrix,
+    PreconditionError,
+    SurfaceBasis,
+    pairing_vector,
+    transvection_matrix,
+)
 from mcg_spinlab.invariants import (
     FibrationInvariants,
+    _transvection_meyer_term,
     GeographyPoint,
     enumerate_region,
     euler_characteristic,
@@ -20,6 +27,7 @@ from mcg_spinlab.constructions import (
     bred_fibration,
     chain_curves,
     hyperelliptic_factorizations,
+    korkmaz_cadavid,
     twisted_double,
 )
 
@@ -32,6 +40,12 @@ def torus_word(copies=6):
     a = Curve("a", b.unit_mod2(0), b.unit_int(0))
     c = Curve("b", b.unit_mod2(1), b.unit_int(1))
     return PositiveFactorization(b, (a, c) * copies, 1)
+
+
+def random_odd_word(rng, max_genus=3, max_length=8):
+    basis = SurfaceBasis(rng.randint(1, max_genus))
+    classes = [random_int_class(rng, basis, bound=2, odd=True) for _ in range(rng.randint(2, max_length))]
+    return PositiveFactorization(basis, tuple(Curve(f"c{i}", c.mod2(), c) for i, c in enumerate(classes)), 0)
 
 
 def random_symplectic(rng, g, steps=5):
@@ -127,9 +141,30 @@ class TestMeyer:
             assert meyer_cocycle(a, b) + meyer_cocycle(a @ b, c) == meyer_cocycle(a, b @ c) + meyer_cocycle(b, c)
 
     def test_hyperelliptic_agreement(self):
-        for g in (5, 7):
-            u, _ = hyperelliptic_factorizations(g)
-            assert signature_meyer(u) == signature_endo(u, hyperelliptic=True) == -4 * g - 4
+        for g in (5, 7, 9):
+            for word in hyperelliptic_factorizations(g):
+                assert signature_meyer(word) == signature_endo(word, hyperelliptic=True) == -4 * g - 4
+
+    def test_rank_one_term_matches_oracle(self):
+        # every step of the partial-product sum, against the general Meyer cocycle
+        rng = make_rng(32)
+        words = [hyperelliptic_factorizations(5)[0], korkmaz_cadavid(5), twisted_double(5)]
+        words += [random_odd_word(rng) for _ in range(40)]
+        seen = set()
+        for p in words:
+            classes = [c.int_class for c in p.twists]
+            a = transvection_matrix(classes[0])
+            oracle_total = 0
+            for c in classes[1:]:
+                b = transvection_matrix(c)
+                ainv = [list(row) for row in a.symplectic_inverse().rows]
+                term = _transvection_meyer_term(ainv, c.coords, pairing_vector(c))
+                assert term == meyer_cocycle(a, b)
+                seen.add(term)
+                oracle_total += term
+                a = a @ b
+            assert signature_meyer(p) == oracle_total
+        assert seen == {-1, 0, 1}
 
     def test_novikov_additivity_instance(self):
         u, _ = hyperelliptic_factorizations(5)
