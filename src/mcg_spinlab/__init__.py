@@ -16,7 +16,6 @@ from .homology import (
     SurfaceBasis,
     arf_invariant,
     enumerate_spin_structures,
-    eval_quadratic,
     intersect,
     is_twist_in_spin_mcg,
     standard_j,

@@ -1,12 +1,13 @@
 """Command line front end emitting canonical JSON/TSV certificates.
 
-Exit codes: 0 all verdicts pass, 2 parse error, 3 precondition violation,
-4 failed verdict or golden mismatch.
+Exit codes: 0 all verdicts pass, 2 parse error, 3 precondition violation or
+unreadable input file, 4 failed verdict or golden mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -14,15 +15,18 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__
-from .dsl import ScriptError, parse_script, run_script
-from .factorization import check_relation, check_spin
+from .dsl import ScriptError, h1_results, invariants_results, parse_script, relation_results, run_script
+from .factorization import apply_word, check_relation, check_spin
 from .homology import PreconditionError
-from .invariants import enumerate_region, invariants_of, realize
+from .invariants import enumerate_region, invariants_of, realize, signature_endo, signature_meyer
 from .presentations import fibration_h1, presentation_from_text
 from .constructions import (
+    boundary_conjugators,
     bred_fibration,
+    chain_curves,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
+    pencil_images,
     spin_fibration_with_group,
     spin_form_all_ones,
     spin_form_alternating,
@@ -111,42 +115,21 @@ def cmd_check_spin(args) -> int:
 
 
 def cmd_check_relation(args) -> int:
-    p = _family_factorization(args)
-    r = check_relation(p)
-    results = {
-        "mod2": r.mod2,
-        "integral": r.integral if r.integral is not None else "unavailable",
-        "verdict": r.mod2 and r.integral is not False,
-    }
+    results = relation_results(_family_factorization(args))
     payload = certificate("check-relation", vars_inputs(args), results)
     _emit(payload, args)
     return EXIT_OK if results["verdict"] else EXIT_VERDICT
 
 
 def cmd_invariants(args) -> int:
-    p = _family_factorization(args)
-    source = {"paper": "paper-formula"}.get(args.sigma, args.sigma)
-    inv = invariants_of(p, source, hyperelliptic=(source == "endo"))
-    results = {
-        "euler": inv.euler,
-        "signature": inv.signature,
-        "signature_method": inv.signature_method,
-        "chi_h": inv.chi_h,
-        "c1_squared": inv.c1_squared,
-    }
+    results = invariants_results(_family_factorization(args), args.sigma)
     payload = certificate("invariants", vars_inputs(args), results)
     _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_h1(args) -> int:
-    p = _family_factorization(args)
-    h1 = fibration_h1(p)
-    results = {"coefficients": h1.coefficients}
-    if h1.coefficients == "Z":
-        results["group"] = str(h1.group)
-    else:
-        results["dimension"] = h1.mod2_dimension
+    results = h1_results(_family_factorization(args))
     payload = certificate("h1", vars_inputs(args), results)
     _emit(payload, args)
     return EXIT_OK
@@ -294,8 +277,6 @@ def golden_suite() -> dict:
         }
     doc["building_block_spin_values"] = spin3
 
-    from .constructions import chain_curves, pencil_images
-
     spin4 = {}
     for g in (5, 7, 11):
         basis = chain_curves(g)[0].basis
@@ -306,10 +287,7 @@ def golden_suite() -> dict:
         spin4[str(g)] = {"chain": chain_vals, "pencil": pencil_vals}
     doc["alternating_spin_values"] = spin4
 
-    from .constructions import boundary_conjugators, chain_curves as _cc
-    from .factorization import apply_word
-
-    ch = _cc(5)
+    ch = chain_curves(5)
     w_ab, w_cd = boundary_conjugators(5)
     doc["conjugator_claims"] = {
         "w_ab_c1": apply_word(w_ab, ch[0].mod2).sparse(),
@@ -331,8 +309,6 @@ def golden_suite() -> dict:
         r = check_relation(twisted_double(g))
         relations[f"double_{g}"] = [r.mod2, r.integral]
     doc["relations"] = relations
-
-    from .invariants import signature_endo, signature_meyer
 
     signatures = {}
     for g in (5, 7):
@@ -390,6 +366,7 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcg-spinlab",
@@ -464,8 +441,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"precondition: {exc}\n")
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"file not found: {exc.filename}\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"unreadable input: {exc}\n")
         return EXIT_PRECONDITION
 
 

@@ -36,6 +36,7 @@ from .homology import (
     QuadraticForm,
     SurfaceBasis,
     intersect,
+    mod2_rank,
     transvection_matrix,
 )
 from .invariants import FibrationInvariants, invariants_of
@@ -362,20 +363,6 @@ class BredCertificate:
         return all(checks)
 
 
-def _mod2_span_dim(classes: list[ClassMod2]) -> int:
-    rows = [c.bits() for c in classes if not c.is_zero()]
-    rank = 0
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 def _chain_reduction_checks(g: int) -> tuple[bool, bool]:
     """Replay of the curve-chasing identity used for simple connectivity.
 
@@ -391,10 +378,10 @@ def _chain_reduction_checks(g: int) -> tuple[bool, bool]:
 
     w_ab, _ = boundary_conjugators(g)
     preimage = apply_word(w_ab.inverse(), b2)
-    identifications = [ch[i].mod2 + ch[i + 1].mod2 for i in range(2 * g)]
-    residue = preimage + ch[0].mod2
-    span = _mod2_span_dim(identifications)
-    second = _mod2_span_dim(identifications + [residue]) == span
+    identifications = [(ch[i].mod2 + ch[i + 1].mod2).bits() for i in range(2 * g)]
+    residue = (preimage + ch[0].mod2).bits()
+    span = mod2_rank(identifications)
+    second = mod2_rank(identifications + [residue]) == span
     return first, second
 
 
@@ -429,11 +416,12 @@ def bred_fibration(
         h1_dim = h1.group.free_rank + sum(1 for d in h1.group.torsion if d % 2 == 0)
     fast_path: Optional[bool] = None
     if k < 2 * g + 2:
+        # every class of u occurs in p conjugated back by w_ab^-1; w_ab acts
+        # bijectively on H1(Sigma; Z/2), so push u forward instead
         w_ab, _ = boundary_conjugators(g)
-        back = conjugate(p, w_ab.inverse())
         u, _ = hyperelliptic_factorizations(g)
-        have = {c.mod2 for c in back.twists}
-        fast_path = all(c.mod2 in have for c in u.twists)
+        have = {c.mod2 for c in p.twists}
+        fast_path = all(apply_word(w_ab, m) in have for m in {c.mod2 for c in u.twists})
     first, second = _chain_reduction_checks(g)
     cert = BredCertificate(
         g=g,

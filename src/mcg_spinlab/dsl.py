@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .constructions import pencil_images
 from .factorization import (
     Curve,
     PositiveFactorization,
@@ -360,6 +361,39 @@ def parse_script(text: str) -> Script:
     return _Parser(tokenize(text)).parse()
 
 
+# --- query results ---------------------------------------------------------------
+# One result dict per factorization query, shared by scripts and the CLI.
+
+
+def relation_results(p: PositiveFactorization) -> dict:
+    r = check_relation(p)
+    return {
+        "mod2": r.mod2,
+        "integral": r.integral if r.integral is not None else "unavailable",
+        "verdict": r.mod2 and r.integral is not False,
+    }
+
+
+def invariants_results(p: PositiveFactorization, sigma: str) -> dict:
+    """Invariants with the signature taken from ``sigma``: endo, meyer or paper."""
+    source = {"paper": "paper-formula"}.get(sigma, sigma)
+    inv = invariants_of(p, source, hyperelliptic=(source == "endo"))
+    return {
+        "euler": inv.euler,
+        "signature": inv.signature,
+        "signature_method": inv.signature_method,
+        "chi_h": inv.chi_h,
+        "c1_squared": inv.c1_squared,
+    }
+
+
+def h1_results(p: PositiveFactorization) -> dict:
+    h1 = fibration_h1(p)
+    if h1.coefficients == "Z":
+        return {"coefficients": "Z", "group": str(h1.group)}
+    return {"coefficients": h1.coefficients, "dimension": h1.mod2_dimension}
+
+
 # --- execution -------------------------------------------------------------------
 
 
@@ -390,13 +424,11 @@ def run_script(script: Script) -> list[dict]:
     queries keep their own type so the caller can distinguish the failure
     class, with the source position prepended to the message.
     """
-    from .constructions import pencil_images
-
     env = _Env()
     results: list[dict] = []
     for s in script.statements:
         try:
-            _execute(s, env, results, pencil_images)
+            _execute(s, env, results)
         except ScriptError:
             raise
         except PreconditionError as exc:
@@ -406,7 +438,7 @@ def run_script(script: Script) -> list[dict]:
     return results
 
 
-def _execute(s: Statement, env: _Env, results: list[dict], pencil_images) -> None:
+def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
     a = s.args
     if s.kind == "basis":
         env.basis = SurfaceBasis(a[0], a[1])
@@ -505,35 +537,14 @@ def _execute(s: Statement, env: _Env, results: list[dict], pencil_images) -> Non
         return
     if s.kind == "check-relation":
         p = _need(env.factorizations, a[0], "factorization", s)
-        r = check_relation(p)
-        results.append({
-            "query": _render(s),
-            "mod2": r.mod2,
-            "integral": r.integral if r.integral is not None else "unavailable",
-            "verdict": r.mod2 and r.integral is not False,
-        })
+        results.append({"query": _render(s), **relation_results(p)})
         return
     if s.kind == "invariants":
         p = _need(env.factorizations, a[0], "factorization", s)
-        source = {"paper": "paper-formula"}.get(a[1], a[1])
-        inv = invariants_of(p, source, hyperelliptic=(source == "endo"))
-        results.append({
-            "query": _render(s),
-            "euler": inv.euler,
-            "signature": inv.signature,
-            "signature_method": inv.signature_method,
-            "chi_h": inv.chi_h,
-            "c1_squared": inv.c1_squared,
-        })
+        results.append({"query": _render(s), **invariants_results(p, a[1])})
         return
     if s.kind == "h1":
         p = _need(env.factorizations, a[0], "factorization", s)
-        h1 = fibration_h1(p)
-        out = {"query": _render(s), "coefficients": h1.coefficients}
-        if h1.coefficients == "Z":
-            out["group"] = str(h1.group)
-        else:
-            out["dimension"] = h1.mod2_dimension
-        results.append(out)
+        results.append({"query": _render(s), **h1_results(p)})
         return
     raise ScriptError(f"unknown statement {s.kind!r}", s.line, s.column)

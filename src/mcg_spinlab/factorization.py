@@ -20,6 +20,7 @@ from .homology import (
     QuadraticForm,
     SurfaceBasis,
     intersect,
+    pairing_vector,
     transvect,
     transvect_inverse,
 )
@@ -350,16 +351,11 @@ def product_matrix_mod2(p: PositiveFactorization) -> Mod2Matrix:
     Each factor is I + c (Jc)^T, so right-multiplication is the rank-1
     update M -> M + (Mc)(Jc)^T, done row by row on the packed rows.
     """
-    g = p.basis.genus
     n = p.basis.dim
     rows = list(Mod2Matrix.identity(n).rows)
     for curve in p.twists:
-        coords = curve.mod2.coords
         c_bits = curve.mod2.bits()
-        jc_bits = 0
-        for k in range(g):
-            jc_bits |= coords[g + k] << k
-            jc_bits |= coords[k] << (g + k)
+        jc_bits = pairing_vector(curve.mod2)
         for i in range(n):
             if bin(rows[i] & c_bits).count("1") & 1:
                 rows[i] ^= jc_bits
@@ -370,12 +366,11 @@ def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
     """Ordered product of the integer transvection matrices (rank-1 updates)."""
     if not p.has_integer_classes():
         raise PreconditionError("some twist curve has no integer class")
-    g = p.basis.genus
     n = p.basis.dim
     rows = [list(r) for r in IntMatrix.identity(n).rows]
     for curve in p.twists:
         coords = curve.int_class.coords
-        jc = [coords[g + k] for k in range(g)] + [-coords[k] for k in range(g)]
+        jc = pairing_vector(curve.int_class)
         for row in rows:
             mult = sum(a * b for a, b in zip(row, coords))
             if mult:

@@ -263,10 +263,6 @@ class QuadraticForm:
         return {self.basis.label(i): b for i, b in enumerate(self.values)}
 
 
-def eval_quadratic(q: QuadraticForm, v: ClassMod2) -> int:
-    return q(v)
-
-
 def arf_invariant(q: QuadraticForm) -> int:
     """Arf invariant sum_i q(x_i) q(y_i) mod 2."""
     g = q.basis.genus
@@ -378,11 +374,10 @@ class Mod2Matrix:
         return all(r == (1 << i) for i, r in enumerate(self.rows))
 
     def is_symplectic(self) -> bool:
-        """M^T J M = J over F_2 (J is block antidiagonal; signs vanish mod 2)."""
+        """M^T J M = J over F_2."""
         if self.n % 2:
             return False
-        g = self.n // 2
-        j = Mod2Matrix(self.n, tuple(1 << ((i + g) % self.n) for i in range(self.n)))
+        j = standard_j(self.n // 2).mod2()
         return (self.transpose() @ j @ self) == j
 
 
@@ -455,24 +450,40 @@ def standard_j(g: int) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def pairing_vector(c: ClassInt) -> tuple[int, ...]:
-    """Coordinates of w = J c, the vector with w . v = <v, c> for every class v."""
+def pairing_vector(c):
+    """w = J c, the vector with w . v = <v, c> for every class v.
+
+    Integer classes give a coordinate tuple; mod-2 classes give w packed into
+    an int (bit j = coordinate j), the row format of ``Mod2Matrix``.
+    """
     g = c.basis.genus
-    return c.coords[g:] + tuple(-a for a in c.coords[:g])
+    if isinstance(c, ClassMod2):
+        b = c.bits()
+        return (b >> g) | ((b & ((1 << g) - 1)) << g)
+    if isinstance(c, ClassInt):
+        return c.coords[g:] + tuple(-a for a in c.coords[:g])
+    raise PreconditionError("pairing_vector expects a homology class")
+
+
+def mod2_rank(bit_rows: Iterable[int]) -> int:
+    """Rank over F_2 of rows packed as ints (the ``Mod2Matrix`` row format)."""
+    pivots: list[int] = []
+    for row in bit_rows:
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+            pivots.sort(reverse=True)
+    return len(pivots)
 
 
 def transvection_matrix(c):
     """Matrix of v -> v + <v,c> c; entries T[i][j] = delta_ij + c_i (Jc)_j."""
-    basis = c.basis
-    g = basis.genus
-    n = basis.dim
+    n = c.basis.dim
     if isinstance(c, ClassMod2):
         if c.is_zero():
             raise PreconditionError("transvection along the zero class")
-        jc_bits = 0
-        for k in range(g):
-            jc_bits |= c.coords[g + k] << k
-            jc_bits |= c.coords[k] << (g + k)
+        jc_bits = pairing_vector(c)
         rows = tuple((1 << i) ^ (jc_bits if c.coords[i] else 0) for i in range(n))
         return Mod2Matrix(n, rows)
     if isinstance(c, ClassInt):

@@ -336,8 +336,8 @@ def enumerate_region(m_max: int) -> list[GeographyPoint]:
         raise PreconditionError("region enumeration guarded at m <= 10^4")
     points = []
     for m in range(m_max + 1):
-        n_cap = (16 * m) // 3
-        for n in range(0, n_cap + 1):
+        # only n = 8m (mod 16) can be admissible
+        for n in range((8 * m) % 16, 16 * m // 3 + 1, 16):
             pt = GeographyPoint(m, n)
             if is_admissible(pt):
                 points.append(pt)

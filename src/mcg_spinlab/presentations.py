@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .homology import PreconditionError, intersect
+from .homology import PreconditionError, intersect, mod2_rank
 
 
 @dataclass(frozen=True)
@@ -284,17 +284,6 @@ class H1Result:
     mod2_dimension: Optional[int] = None
 
 
-def _mod2_rank(bit_rows: Iterable[int]) -> int:
-    pivots: list[int] = []
-    for row in bit_rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-    return len(pivots)
-
-
 def fibration_h1(p) -> H1Result:
     """H1 of the total space: Z^(2g) modulo the span of the vanishing cycles.
 
@@ -307,7 +296,7 @@ def fibration_h1(p) -> H1Result:
         rows = sorted({c.int_class.coords for c in p.twists})
         return H1Result("Z", group=cokernel(rows, n))
     bits = sorted({c.mod2.bits() for c in p.twists})
-    return H1Result("Z/2", mod2_dimension=n - _mod2_rank(bits))
+    return H1Result("Z/2", mod2_dimension=n - mod2_rank(bits))
 
 
 def korkmaz_relator_set(p, conjugator_curves: Sequence) -> list:

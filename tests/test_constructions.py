@@ -1,6 +1,6 @@
 import pytest
 
-from mcg_spinlab.factorization import apply_word, check_relation, check_spin
+from mcg_spinlab.factorization import apply_word, check_relation, check_spin, conjugate
 from mcg_spinlab.homology import PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.invariants import euler_characteristic
 from mcg_spinlab.presentations import AbelianGroup, fibration_h1, presentation_from_text
@@ -174,6 +174,17 @@ class TestBredFibration:
             p, _ = bred_fibration(5, k, certify=False)
             lengths.append(len(p))
         assert lengths == [88, 92, 96, 100]
+
+
+class TestChainCoverFastPath:
+    @pytest.mark.parametrize("g,k", [(5, 0), (5, 1), (5, 6), (5, 11), (7, 0), (7, 2), (7, 9), (7, 15)])
+    def test_matches_back_conjugation(self, g, k):
+        p, cert = bred_fibration(g, k)
+        # oracle: conjugate all of p back by w_ab^-1 and look for every class of u
+        w_ab, _ = boundary_conjugators(g)
+        u, _ = hyperelliptic_factorizations(g)
+        have = {c.mod2 for c in conjugate(p, w_ab.inverse()).twists}
+        assert cert.chain_cover_fast_path == all(c.mod2 in have for c in u.twists)
 
 
 class TestCurveCatalog:

@@ -12,9 +12,10 @@ from mcg_spinlab.homology import (
     SurfaceBasis,
     arf_invariant,
     enumerate_spin_structures,
-    eval_quadratic,
     intersect,
     is_twist_in_spin_mcg,
+    mod2_rank,
+    pairing_vector,
     transvect,
     transvect_inverse,
     transvection_matrix,
@@ -123,7 +124,7 @@ class TestQuadraticForm:
     def test_zero_class(self):
         b = SurfaceBasis(4)
         q = spin_form_all_ones(b)
-        assert eval_quadratic(q, b.zero_mod2()) == 0
+        assert q(b.zero_mod2()) == 0
 
     def test_building_block_b0(self):
         # q(b_1 + ... + b_g) = g = 1 mod 2 at odd genus
@@ -132,14 +133,14 @@ class TestQuadraticForm:
         q = spin_form_all_ones(p.basis)
         b0 = p.twists[0]
         assert b0.label == "B0"
-        assert eval_quadratic(q, b0.mod2) == 1
+        assert q(b0.mod2) == 1
 
     def test_alternating_form_on_sum_of_ys(self):
         b = SurfaceBasis(11)
         q = spin_form_alternating(b)
         cls = ClassMod2.parse(b, "y1+y2+y3+y4+y5")
         # 1+0+1+0+1 = 1
-        assert eval_quadratic(q, cls) == 1
+        assert q(cls) == 1
 
     def test_matches_expansion_oracle(self):
         rng = make_rng(6)
@@ -148,7 +149,7 @@ class TestQuadraticForm:
             for _ in range(50):
                 q = random_form(rng, b)
                 v = random_mod2_class(rng, b)
-                assert eval_quadratic(q, v) == oracle_quadratic(q, v)
+                assert q(v) == oracle_quadratic(q, v)
 
     def test_refinement_identity(self):
         rng = make_rng(7)
@@ -228,6 +229,7 @@ class TestTransvectionMatrix:
                 c = random_int_class(rng, b, odd=True)
                 assert transvection_matrix(c).is_symplectic()
                 assert transvection_matrix(c.mod2()).is_symplectic()
+        assert not Mod2Matrix.from_rows(((1, 0), (0, 0))).is_symplectic()
 
     def test_product_over_relation_is_identity(self):
         p = korkmaz_cadavid(3)
@@ -243,6 +245,37 @@ class TestTransvectionMatrix:
         for _ in range(6):
             m = m @ transvection_matrix(random_int_class(rng, b, odd=True))
         assert (m @ m.symplectic_inverse()).is_identity()
+
+
+class TestPairingVector:
+    def test_pairs_like_intersect(self):
+        rng = make_rng(13)
+        for g in (1, 2, 3, 5):
+            b = SurfaceBasis(g)
+            for _ in range(40):
+                c = random_int_class(rng, b)
+                v = random_int_class(rng, b)
+                w = pairing_vector(c)
+                assert sum(a * x for a, x in zip(w, v.coords)) == intersect(v, c)
+                w_bits = pairing_vector(c.mod2())
+                assert bin(w_bits & v.mod2().bits()).count("1") & 1 == intersect(v.mod2(), c.mod2())
+                assert w_bits == Mod2Matrix.from_rows([w]).rows[0]
+
+    def test_rejects_non_class(self):
+        with pytest.raises(PreconditionError):
+            pairing_vector(spin_form_all_ones(SurfaceBasis(2)))
+
+
+class TestMod2Rank:
+    def test_matches_span_count(self):
+        rng = make_rng(14)
+        for _ in range(80):
+            width = rng.randint(1, 6)
+            rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 6))]
+            span = {0}
+            for r in rows:
+                span |= {x ^ r for x in span}
+            assert 1 << mod2_rank(rows) == len(span)
 
 
 class TestSpinEnumeration:
