@@ -243,10 +243,18 @@ def _strip_version(payload: dict) -> dict:
 
 
 def _compare_expected(payloads: list[dict], path: str) -> int:
+    want = []
     with open(path) as fh:
-        expected = [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError:
+                    payload = None
+                if not isinstance(payload, dict):
+                    raise PreconditionError(f"expect file {path} line {number}: not a JSON object")
+                want.append(_strip_version(payload))
     got = [_strip_version(p) for p in payloads]
-    want = [_strip_version(p) for p in expected]
     if got == want:
         sys.stdout.write(f"ok: {len(got)} certificates match {path}\n")
         return EXIT_OK

@@ -378,8 +378,8 @@ def _chain_reduction_checks(g: int) -> tuple[bool, bool]:
 
     w_ab, _ = boundary_conjugators(g)
     preimage = apply_word(w_ab.inverse(), b2)
-    identifications = [(ch[i].mod2 + ch[i + 1].mod2).bits() for i in range(2 * g)]
-    residue = (preimage + ch[0].mod2).bits()
+    identifications = [(ch[i].mod2 + ch[i + 1].mod2).bits for i in range(2 * g)]
+    residue = (preimage + ch[0].mod2).bits
     span = mod2_rank(identifications)
     second = mod2_rank(identifications + [residue]) == span
     return first, second

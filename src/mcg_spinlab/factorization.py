@@ -72,18 +72,6 @@ def _twist_label(conj_label: str, target_label: str, exponent: int) -> str:
     return f"{op}({target_label})"
 
 
-def twist_image(c: Curve, v: Curve, exponent: int = 1) -> Curve:
-    """Image of curve v under the twist along c (exponent +1 or -1)."""
-    if exponent not in (1, -1):
-        raise PreconditionError("twist exponent must be +1 or -1")
-    act = transvect if exponent == 1 else transvect_inverse
-    mod2 = act(c.mod2, v.mod2)
-    int_class = None
-    if v.int_class is not None and c.int_class is not None:
-        int_class = act(c.int_class, v.int_class)
-    return Curve(_twist_label(c.label, v.label, exponent), mod2, int_class, v.nonseparating)
-
-
 @dataclass(frozen=True)
 class TwistWord:
     """Word in twists t_c^(+-1); leftmost letter acts last on curves."""
@@ -211,9 +199,9 @@ def hurwitz_move(p: PositiveFactorization, i: int, direction: str) -> PositiveFa
         raise PreconditionError(f"hurwitz index {i} out of range")
     a, b = p.twists[i], p.twists[i + 1]
     if direction == "right":
-        pair = (twist_image(a, b, 1), a)
+        pair = (word_image(TwistWord.of(a), b), a)
     elif direction == "left":
-        pair = (b, twist_image(b, a, -1))
+        pair = (b, word_image(TwistWord.of(b, -1), a))
     else:
         raise PreconditionError("direction must be 'left' or 'right'")
     twists = p.twists[:i] + pair + p.twists[i + 2:]
@@ -354,10 +342,10 @@ def product_matrix_mod2(p: PositiveFactorization) -> Mod2Matrix:
     n = p.basis.dim
     rows = list(Mod2Matrix.identity(n).rows)
     for curve in p.twists:
-        c_bits = curve.mod2.bits()
+        c_bits = curve.mod2.bits
         jc_bits = pairing_vector(curve.mod2)
         for i in range(n):
-            if bin(rows[i] & c_bits).count("1") & 1:
+            if (rows[i] & c_bits).bit_count() & 1:
                 rows[i] ^= jc_bits
     return Mod2Matrix(n, tuple(rows))
 
@@ -381,12 +369,14 @@ def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
 
 
 def check_relation(p: PositiveFactorization) -> RelationCheck:
-    """Is the ordered transvection product the identity (mod 2, and over Z if possible)?"""
-    mod2_ok = product_matrix_mod2(p).is_identity()
-    integral: Optional[bool] = None
+    """Is the ordered transvection product the identity (mod 2, and over Z if possible)?
+
+    With integer classes the integer product is formed once and reduced mod 2.
+    """
     if p.has_integer_classes():
-        integral = product_matrix_int(p).is_identity()
-    return RelationCheck(mod2_ok, integral)
+        product = product_matrix_int(p)
+        return RelationCheck(product.mod2().is_identity(), product.is_identity())
+    return RelationCheck(product_matrix_mod2(p).is_identity(), None)
 
 
 @dataclass(frozen=True)

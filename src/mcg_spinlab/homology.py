@@ -3,7 +3,8 @@
 Everything lives over a fixed symplectic basis x_1..x_g, y_1..y_g with
 pairing <x_i, y_j> = delta_ij and <x_i, x_j> = <y_i, y_j> = 0.  Coordinates
 are stored x-block first, then y-block.  Integer classes use exact Python
-ints, mod-2 classes use 0/1 tuples.  All values are immutable and every
+ints, mod-2 classes pack their coordinates into one int (bit i = coordinate
+i), the row format of ``Mod2Matrix``.  All values are immutable and every
 operation is a pure function, so they are safe to share across threads.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -66,15 +68,13 @@ class SurfaceBasis:
         raise PreconditionError(f"label {label!r} does not match scheme {self.labels!r}")
 
     def zero_mod2(self) -> "ClassMod2":
-        return ClassMod2(self, (0,) * self.dim)
+        return ClassMod2(self, 0)
 
     def zero_int(self) -> "ClassInt":
         return ClassInt(self, (0,) * self.dim)
 
     def unit_mod2(self, index: int) -> "ClassMod2":
-        coords = [0] * self.dim
-        coords[index] = 1
-        return ClassMod2(self, tuple(coords))
+        return ClassMod2(self, 1 << index)
 
     def unit_int(self, index: int) -> "ClassInt":
         coords = [0] * self.dim
@@ -100,55 +100,42 @@ def _check_same_basis(u, v) -> None:
 
 @dataclass(frozen=True)
 class ClassMod2:
-    """Mod-2 homology class as a 0/1 coordinate tuple."""
+    """Mod-2 homology class, coordinates packed into an int (bit i = coordinate i)."""
 
     basis: SurfaceBasis
-    coords: tuple[int, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        if len(self.coords) != self.basis.dim:
-            raise PreconditionError("coordinate length does not match basis dimension")
-        if any(c not in (0, 1) for c in self.coords):
-            raise PreconditionError("mod-2 coordinates must be 0 or 1")
+        if not 0 <= self.bits < 1 << self.basis.dim:
+            raise PreconditionError("mod-2 bits out of range for the basis dimension")
 
     @classmethod
     def parse(cls, basis: SurfaceBasis, text: str) -> "ClassMod2":
         """Parse sparse form like ``x1+y3+y4`` (``0`` for the zero class)."""
         text = text.strip()
-        coords = [0] * basis.dim
-        if text != "0":
-            for part in text.split("+"):
-                coords[basis.label_index(part.strip())] ^= 1
-        return cls(basis, tuple(coords))
+        return cls.from_labels(basis, () if text == "0" else (part.strip() for part in text.split("+")))
 
     @classmethod
     def from_labels(cls, basis: SurfaceBasis, labels: Iterable[str]) -> "ClassMod2":
-        coords = [0] * basis.dim
+        bits = 0
         for lab in labels:
-            coords[basis.label_index(lab)] ^= 1
-        return cls(basis, tuple(coords))
+            bits ^= 1 << basis.label_index(lab)
+        return cls(basis, bits)
 
     def __add__(self, other: "ClassMod2") -> "ClassMod2":
         _check_same_basis(self, other)
-        return ClassMod2(self.basis, tuple(a ^ b for a, b in zip(self.coords, other.coords)))
+        return ClassMod2(self.basis, self.bits ^ other.bits)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.bits
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c)
+        return tuple(i for i in range(self.basis.dim) if self.bits >> i & 1)
 
     def sparse(self) -> str:
         if self.is_zero():
             return "0"
         return "+".join(self.basis.label(i) for i in self.support())
-
-    def bits(self) -> int:
-        """Coordinates packed into an int, bit i = coordinate i."""
-        b = 0
-        for i, c in enumerate(self.coords):
-            b |= c << i
-        return b
 
 
 @dataclass(frozen=True)
@@ -187,19 +174,16 @@ class ClassInt:
         return not any(self.coords)
 
     def mod2(self) -> ClassMod2:
-        return ClassMod2(self.basis, tuple(a & 1 for a in self.coords))
+        return ClassMod2(self.basis, sum((a & 1) << i for i, a in enumerate(self.coords)))
 
 
 def intersect(u, v) -> int:
     """Algebraic intersection u^T J v; a bit for mod-2 classes, an int over Z."""
     _check_same_basis(u, v)
-    g = u.basis.genus
     if isinstance(u, ClassMod2) and isinstance(v, ClassMod2):
-        total = 0
-        for k in range(g):
-            total ^= (u.coords[k] & v.coords[g + k]) ^ (u.coords[g + k] & v.coords[k])
-        return total
+        return (u.bits & pairing_vector(v)).bit_count() & 1
     if isinstance(u, ClassInt) and isinstance(v, ClassInt):
+        g = u.basis.genus
         return sum(u.coords[k] * v.coords[g + k] - u.coords[g + k] * v.coords[k] for k in range(g))
     raise PreconditionError("intersect requires two classes of the same kind")
 
@@ -239,7 +223,8 @@ class QuadraticForm:
     Stored by its values on the basis vectors; evaluation expands a class in
     basis vectors and applies q(sum d_i) = sum q(d_i) + sum_{i<j} d_i . d_j.
     For the standard symplectic basis the pairwise term collapses to
-    sum_k v_xk v_yk, which makes the refinement identity automatic.
+    sum_k v_xk v_yk, which makes the refinement identity automatic.  On packed
+    bits both terms are parities: of v & values and of v & (v >> g).
     """
 
     basis: SurfaceBasis
@@ -251,13 +236,16 @@ class QuadraticForm:
         if any(b not in (0, 1) for b in self.values):
             raise PreconditionError("quadratic form values must be bits")
 
+    @cached_property
+    def value_bits(self) -> int:
+        """The basis values packed into an int, bit i = value on basis vector i."""
+        return sum(b << i for i, b in enumerate(self.values))
+
     def __call__(self, v: ClassMod2) -> int:
         if v.basis != self.basis:
             raise PreconditionError("class and form live over different bases")
-        g = self.basis.genus
-        total = sum(b for b, c in zip(self.values, v.coords) if c)
-        total += sum(v.coords[k] & v.coords[g + k] for k in range(g))
-        return total & 1
+        b = v.bits
+        return ((b & self.value_bits) ^ (b & b >> self.basis.genus)).bit_count() & 1
 
     def basis_table(self) -> dict[str, int]:
         return {self.basis.label(i): b for i, b in enumerate(self.values)}
@@ -286,24 +274,43 @@ def enumerate_spin_structures(
 ) -> list[QuadraticForm]:
     """All quadratic forms with q(cls) = bit for every constraint.
 
-    Brute force over all 2^(2g) basis-value assignments, in increasing order
-    of the packed value integer (bit i = value on basis vector i).  Guarded
-    at genus <= 8.
+    q(cls) = cls . v + q0(cls), with q0 the zero form, is affine in the packed
+    basis values v, so the constraints are an F_2 linear system.  Each reduced
+    row pivots on its lowest bit and its other bits are free columns, so
+    counting through the free columns lists the forms in increasing order of
+    the packed value integer (bit i = value on basis vector i).  More than
+    2^16 forms are refused before any is listed.
     """
-    if basis.genus > 8:
-        raise PreconditionError("spin structure enumeration is guarded at genus <= 8")
     for cls, bit in constraints:
         if cls.basis != basis:
             raise PreconditionError("constraint class over wrong basis")
         if bit not in (0, 1):
             raise PreconditionError("constraint bit must be 0 or 1")
-    dim = basis.dim
-    found = []
-    for packed in range(1 << dim):
-        values = tuple((packed >> i) & 1 for i in range(dim))
-        q = QuadraticForm(basis, values)
-        if all(q(cls) == bit for cls, bit in constraints):
-            found.append(q)
+    q0 = QuadraticForm(basis, (0,) * basis.dim)
+    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (row, right-hand side)
+    for cls, bit in constraints:
+        row, rhs = cls.bits, bit ^ q0(cls)
+        for col, (prow, prhs) in pivots.items():
+            if row >> col & 1:
+                row, rhs = row ^ prow, rhs ^ prhs
+        if not row:
+            if rhs:
+                return []
+            continue
+        col = (row & -row).bit_length() - 1
+        for other, (prow, prhs) in pivots.items():
+            if prow >> col & 1:
+                pivots[other] = (prow ^ row, prhs ^ rhs)
+        pivots[col] = (row, rhs)
+    free = (1 << basis.dim) - 1 - sum(1 << col for col in pivots)
+    if free.bit_count() > 16:
+        raise PreconditionError(f"2^{free.bit_count()} spin structures exceed the listing bound of 2^16")
+    found, packed = [], 0
+    for _ in range(1 << free.bit_count()):
+        for col, (row, rhs) in pivots.items():
+            packed |= (rhs ^ ((row & packed).bit_count() & 1)) << col
+        found.append(QuadraticForm(basis, tuple((packed >> i) & 1 for i in range(basis.dim))))
+        packed = ((packed & free) - free) & free
     return found
 
 
@@ -327,14 +334,7 @@ class Mod2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Mod2Matrix":
-        n = len(rows)
-        packed = []
-        for row in rows:
-            b = 0
-            for j, e in enumerate(row):
-                b |= (e & 1) << j
-            packed.append(b)
-        return cls(n, tuple(packed))
+        return cls(len(rows), tuple(sum((e & 1) << j for j, e in enumerate(row)) for row in rows))
 
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple((r >> j) & 1 for j in range(self.n)) for r in self.rows)
@@ -357,9 +357,7 @@ class Mod2Matrix:
     def apply(self, v: ClassMod2) -> ClassMod2:
         if v.basis.dim != self.n:
             raise PreconditionError("matrix size does not match basis dimension")
-        bits = v.bits()
-        coords = tuple(bin(self.rows[i] & bits).count("1") & 1 for i in range(self.n))
-        return ClassMod2(v.basis, coords)
+        return ClassMod2(v.basis, sum(((r & v.bits).bit_count() & 1) << i for i, r in enumerate(self.rows)))
 
     def transpose(self) -> "Mod2Matrix":
         return Mod2Matrix(
@@ -458,7 +456,7 @@ def pairing_vector(c):
     """
     g = c.basis.genus
     if isinstance(c, ClassMod2):
-        b = c.bits()
+        b = c.bits
         return (b >> g) | ((b & ((1 << g) - 1)) << g)
     if isinstance(c, ClassInt):
         return c.coords[g:] + tuple(-a for a in c.coords[:g])
@@ -484,7 +482,7 @@ def transvection_matrix(c):
         if c.is_zero():
             raise PreconditionError("transvection along the zero class")
         jc_bits = pairing_vector(c)
-        rows = tuple((1 << i) ^ (jc_bits if c.coords[i] else 0) for i in range(n))
+        rows = tuple((1 << i) ^ (jc_bits if c.bits >> i & 1 else 0) for i in range(n))
         return Mod2Matrix(n, rows)
     if isinstance(c, ClassInt):
         if c.is_zero():

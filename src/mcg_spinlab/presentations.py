@@ -295,7 +295,7 @@ def fibration_h1(p) -> H1Result:
     if p.has_integer_classes():
         rows = sorted({c.int_class.coords for c in p.twists})
         return H1Result("Z", group=cokernel(rows, n))
-    bits = sorted({c.mod2.bits() for c in p.twists})
+    bits = sorted({c.mod2.bits for c in p.twists})
     return H1Result("Z/2", mod2_dimension=n - mod2_rank(bits))
 
 

@@ -5,9 +5,9 @@ from mcg_spinlab.homology import ClassInt, ClassMod2, SurfaceBasis
 
 def random_mod2_class(rng, basis: SurfaceBasis, nonzero: bool = False) -> ClassMod2:
     while True:
-        coords = tuple(rng.randint(0, 1) for _ in range(basis.dim))
-        if any(coords) or not nonzero:
-            return ClassMod2(basis, coords)
+        bits = sum(rng.randint(0, 1) << i for i in range(basis.dim))
+        if bits or not nonzero:
+            return ClassMod2(basis, bits)
 
 
 def random_int_class(rng, basis: SurfaceBasis, bound: int = 3, odd: bool = False) -> ClassInt:

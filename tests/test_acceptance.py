@@ -128,8 +128,8 @@ def test_criterion_03_conjugator_claims():
                 pivots.sort(reverse=True)
         return len(pivots)
 
-    base = rank([c.bits() for c in identifications])
-    assert rank([c.bits() for c in identifications] + [residue.bits()]) == base
+    base = rank([c.bits for c in identifications])
+    assert rank([c.bits for c in identifications] + [residue.bits]) == base
     report(3, "conjugator images and the chain-coordinate reduction of B2")
 
 

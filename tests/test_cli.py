@@ -158,6 +158,16 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", str(script), "--expect", str(golden))
         assert code == EXIT_VERDICT
 
+    @pytest.mark.parametrize("line", ["not json", "[1]"])
+    def test_expect_line_not_an_object(self, tmp_path, capsys, line):
+        script = tmp_path / "s.spin"
+        script.write_text("basis g=5; form q = x*:1; curve a = y3; check q a;")
+        golden = tmp_path / "golden.jsonl"
+        golden.write_text(f"\n{line}\n")
+        code, out, err = run_cli(capsys, "run", str(script), "--expect", str(golden))
+        assert code == EXIT_PRECONDITION and out == ""
+        assert err == f"precondition: expect file {golden} line 2: not a JSON object\n"
+
     def test_parse_error_exit(self, tmp_path, capsys):
         script = tmp_path / "bad.spin"
         script.write_text("basis g=5; curve z = x9;")

@@ -3,6 +3,7 @@ import pytest
 from mcg_spinlab.factorization import (
     Curve,
     PositiveFactorization,
+    RelationCheck,
     SubsurfaceImage,
     TwistWord,
     apply_word,
@@ -19,7 +20,7 @@ from mcg_spinlab.factorization import (
     product_matrix_int,
     product_matrix_mod2,
 )
-from mcg_spinlab.homology import ClassMod2, PreconditionError, SurfaceBasis, intersect
+from mcg_spinlab.homology import ClassInt, ClassMod2, PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
@@ -229,6 +230,12 @@ class TestCheckRelation:
             p, _ = bred_fibration(5, k, certify=False)
             r = check_relation(p)
             assert r.mod2 and r.integral is None
+
+    def test_square_twist_is_relation_mod2_only(self):
+        b = SurfaceBasis(1)
+        c = Curve("c", ClassMod2.parse(b, "x1"), ClassInt(b, (1, 0)))
+        p = PositiveFactorization(b, (c, c), 0)
+        assert check_relation(p) == RelationCheck(mod2=True, integral=False)
 
     def test_non_relation_detected(self):
         p = korkmaz_cadavid(3)

@@ -59,6 +59,37 @@ class TestIntersect:
         with pytest.raises(PreconditionError):
             intersect(u, v)
 
+    def test_mod2_is_integer_pairing_of_lifts(self):
+        # Independent of pairing_vector: any integer lifts of two mod-2
+        # classes pair to an integer of the same parity.
+        rng = make_rng(15)
+        for g in (1, 2, 3, 5):
+            b = SurfaceBasis(g)
+            for _ in range(40):
+                u, v = random_mod2_class(rng, b), random_mod2_class(rng, b)
+                lu, lv = (
+                    ClassInt(b, tuple((w.bits >> i & 1) + 2 * rng.randint(-2, 2) for i in range(b.dim)))
+                    for w in (u, v)
+                )
+                assert lu.mod2() == u and lv.mod2() == v
+                assert intersect(u, v) == intersect(lu, lv) % 2
+
+
+class TestPackedClass:
+    def test_bits_out_of_range(self):
+        b = SurfaceBasis(2)
+        for bits in (-1, 2**b.dim):
+            with pytest.raises(PreconditionError):
+                ClassMod2(b, bits)
+        assert ClassMod2(b, 2**b.dim - 1).sparse() == "x1+x2+y1+y2"
+
+    def test_bit_i_is_coordinate_i(self):
+        b = SurfaceBasis(3)
+        assert ClassMod2.parse(b, "x1+y3").bits == 1 | 1 << 5
+        assert ClassMod2.parse(b, "0").bits == 0
+        assert b.unit_mod2(4).support() == (4,)
+        assert ClassInt(b, (3, -2, 0, 1, 5, -7)).mod2().bits == 0b111001
+
 
 class TestTransvect:
     def test_fixes_own_class(self):
@@ -238,6 +269,17 @@ class TestTransvectionMatrix:
             m = m @ transvection_matrix(cur.int_class)
         assert m.is_identity()
 
+    def test_mod2_apply_matches_row_product(self):
+        rng = make_rng(16)
+        for g in (1, 2, 3):
+            b = SurfaceBasis(g)
+            for _ in range(30):
+                m = Mod2Matrix(b.dim, tuple(rng.randrange(1 << b.dim) for _ in range(b.dim)))
+                v = random_mod2_class(rng, b)
+                coords = [v.bits >> j & 1 for j in range(b.dim)]
+                expected = [sum(a * x for a, x in zip(row, coords)) % 2 for row in m.to_rows()]
+                assert [m.apply(v).bits >> i & 1 for i in range(b.dim)] == expected
+
     def test_symplectic_inverse(self):
         rng = make_rng(12)
         b = SurfaceBasis(2)
@@ -258,7 +300,7 @@ class TestPairingVector:
                 w = pairing_vector(c)
                 assert sum(a * x for a, x in zip(w, v.coords)) == intersect(v, c)
                 w_bits = pairing_vector(c.mod2())
-                assert bin(w_bits & v.mod2().bits()).count("1") & 1 == intersect(v.mod2(), c.mod2())
+                assert bin(w_bits & v.mod2().bits).count("1") & 1 == intersect(v.mod2(), c.mod2())
                 assert w_bits == Mod2Matrix.from_rows([w]).rows[0]
 
     def test_rejects_non_class(self):
@@ -278,7 +320,25 @@ class TestMod2Rank:
             assert 1 << mod2_rank(rows) == len(span)
 
 
+def brute_force_spin_structures(basis, constraints):
+    forms = []
+    for packed in range(1 << basis.dim):
+        q = QuadraticForm(basis, tuple((packed >> i) & 1 for i in range(basis.dim)))
+        if all(q(cls) == bit for cls, bit in constraints):
+            forms.append(q)
+    return forms
+
+
 class TestSpinEnumeration:
+    def test_matches_brute_force(self):
+        rng = make_rng(17)
+        for _ in range(120):
+            b = SurfaceBasis(rng.randint(1, 3))
+            constraints = [
+                (random_mod2_class(rng, b), rng.randint(0, 1)) for _ in range(rng.randint(0, b.dim + 1))
+            ]
+            assert enumerate_spin_structures(b, constraints) == brute_force_spin_structures(b, constraints)
+
     def test_unconstrained_counts(self):
         b = SurfaceBasis(1)
         assert len(enumerate_spin_structures(b)) == 4
@@ -292,11 +352,11 @@ class TestSpinEnumeration:
         # The forms that admit the whole odd-genus construction: q = 1 on the
         # monodromy classes and on the conjugator classes a_1..a_g.  There are
         # 2^n of them at g = 2n+1, the all-ones form among them.
-        for g, expected in ((3, 2), (5, 4), (7, 8)):
+        for g, expected in ((3, 2), (5, 4), (7, 8), (9, 16), (11, 32), (13, 64)):
             p = korkmaz_cadavid(g)
             classes = {c.mod2 for c in p.twists}
             classes.update(p.basis.unit_mod2(i) for i in range(g))
-            constraints = [(cls, 1) for cls in sorted(classes, key=lambda c: c.coords)]
+            constraints = [(cls, 1) for cls in sorted(classes, key=lambda c: c.bits)]
             forms = enumerate_spin_structures(p.basis, constraints)
             assert len(forms) == expected
             assert spin_form_all_ones(p.basis) in forms
@@ -305,7 +365,7 @@ class TestSpinEnumeration:
         # Without the conjugator constraints the solution space is twice as
         # large in each handle pair: 2^(2n) forms.
         p = korkmaz_cadavid(3)
-        constraints = [(cls, 1) for cls in sorted({c.mod2 for c in p.twists}, key=lambda c: c.coords)]
+        constraints = [(cls, 1) for cls in sorted({c.mod2 for c in p.twists}, key=lambda c: c.bits)]
         assert len(enumerate_spin_structures(p.basis, constraints)) == 4
 
     def test_zero_bit_constraint(self):
