@@ -351,21 +351,32 @@ def product_matrix_mod2(p: PositiveFactorization) -> Mod2Matrix:
 
 
 def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
-    """Ordered product of the integer transvection matrices (rank-1 updates)."""
+    """Ordered product of the integer transvection matrices.
+
+    Each factor is I + c (Jc)^T, so right-multiplication is the rank-1
+    update M -> M + (Mc)(Jc)^T.  The nonzero entries of c and Jc are listed
+    once per distinct class, so a row costs |supp c| and not 2g.
+    """
     if not p.has_integer_classes():
         raise PreconditionError("some twist curve has no integer class")
     n = p.basis.dim
     rows = [list(r) for r in IntMatrix.identity(n).rows]
+    supports: dict[tuple[int, ...], tuple] = {}
     for curve in p.twists:
         coords = curve.int_class.coords
-        jc = pairing_vector(curve.int_class)
+        if coords not in supports:
+            supports[coords] = (_nonzero(coords), _nonzero(pairing_vector(curve.int_class)))
+        c_support, jc_support = supports[coords]
         for row in rows:
-            mult = sum(a * b for a, b in zip(row, coords))
+            mult = sum([row[i] * a for i, a in c_support])
             if mult:
-                for j in range(n):
-                    if jc[j]:
-                        row[j] += mult * jc[j]
+                for j, b in jc_support:
+                    row[j] += mult * b
     return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def _nonzero(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((i, a) for i, a in enumerate(v) if a)
 
 
 def check_relation(p: PositiveFactorization) -> RelationCheck:

@@ -1,8 +1,11 @@
 """Finite presentations, Smith normal form, and H1 certificates.
 
 The Smith normal form is hand-rolled so the unimodular transforms are
-returned for audit and the pivoting is deterministic: smallest nonzero
-absolute value, row-major tie-break.
+returned for audit and the result is deterministic.  It alternates row and
+column echelon passes (Kannan-Bachem) whose pivot rows are kept reduced, so
+the entries stay small.  ``cokernel`` keeps no transforms: it first reduces
+its rows by gcd row operations to an integer echelon basis of at most n rows,
+and only that small matrix goes through the Smith normal form.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns D = U M V with the divisibility chain d1 | d2 | ... on the
-    diagonal and d_i > 0.  Deterministic: the pivot is the smallest nonzero
-    absolute value in the remaining block, first in row-major order on ties.
+    diagonal and d_i > 0.  Row and column echelon passes alternate until the
+    matrix is diagonal (Kannan-Bachem), each pass carrying its transform
+    along as extra columns; 2x2 gcd/lcm steps then order the diagonal into
+    the chain.  Deterministic.
     """
     m = [list(map(int, row)) for row in matrix]
     nrows = len(m)
@@ -89,80 +94,32 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
         raise PreconditionError("ragged matrix")
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, mult):
-        m[dst] = [a + mult * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a + mult * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, mult):
-        for row in m:
-            row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
-
-    def negate_row(i):
-        m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    while t < min(nrows, ncols):
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                a = abs(m[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    pivot = (i, j)
-        if pivot is None:
+    while True:
+        m, u = _echelon_pass(m, u, ncols)
+        if _is_diagonal(m):
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            moved = False
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    qt = m[i][t] // m[t][t]
-                    add_row(t, i, -qt)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                    moved = True
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    qt = m[t][j] // m[t][t]
-                    add_col(t, j, -qt)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                    moved = True
-            if not moved:
-                break
-        if m[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility: fold any bad entry into the pivot and redo
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % m[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
+        mt, vt = _echelon_pass(_transposed(m), _transposed(v), nrows)
+        m, v = _transposed(mt), _transposed(vt)
+        if _is_diagonal(m):
+            break
 
     rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = m[i][i], m[j][j]
+            if b % a == 0:
+                continue
+            # rows by [[s, t], [-b/g, a/g]] and columns by [[1, -tb/g], [1, sa/g]]
+            # turn diag(a, b) into diag(g, ab/g)
+            s, t, g = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            u[i], u[j] = (
+                [s * x + t * y for x, y in zip(u[i], u[j])],
+                [ag * y - bg * x for x, y in zip(u[i], u[j])],
+            )
+            for row in v:
+                row[i], row[j] = row[i] + row[j], s * ag * row[j] - t * bg * row[i]
+            m[i][i], m[j][j] = g, ag * b
     return SNFResult(
         tuple(tuple(row) for row in m),
         rank,
@@ -171,14 +128,93 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
     )
 
 
+def _echelon_pass(m: list[list[int]], transform: list[list[int]], n: int):
+    """Row echelon form of m, with the same row operations applied to transform."""
+    pivots, rest = _echelon([a + b for a, b in zip(m, transform)], n)
+    rows = pivots + rest
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def _is_diagonal(m: list[list[int]]) -> bool:
+    return not any(a for i, row in enumerate(m) for j, a in enumerate(row) if i != j)
+
+
+def _transposed(m: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*m)]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(s, t, g) with s a + t b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return s0, t0, a
+
+
+def _echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Echelon form, by unimodular row operations, of rows whose first n entries count.
+
+    Returns the pivot rows in column order and the rows that end up zero in
+    their first n entries; together they span the same lattice as ``rows``.
+    Each row is cleared column by column against the pivot row of that
+    column by Euclidean subtract-and-swap, which leaves the gcd in the pivot
+    row; a row that reaches a column without a pivot row becomes one.  A new
+    or changed pivot row gets a positive pivot and is reduced modulo the
+    later pivots, which keeps the entries small.
+    """
+    pivots: dict[int, list[int]] = {}
+    rest: list[list[int]] = []
+    for row in rows:
+        for j in range(n):
+            if not row[j]:
+                continue
+            top = pivots.get(j)
+            if top is None:
+                pivots[j] = _reduced_pivot_row(row, j, pivots)
+                break
+            changed = False
+            while True:
+                q = row[j] // top[j]
+                row = [a - q * b for a, b in zip(row, top)]
+                if not row[j]:
+                    break
+                top, row = row, top
+                changed = True
+            if changed:
+                pivots[j] = _reduced_pivot_row(top, j, pivots)
+        else:
+            rest.append(row)
+    return [pivots[j] for j in sorted(pivots)], rest
+
+
+def _reduced_pivot_row(row: list[int], j: int, pivots: dict[int, list[int]]) -> list[int]:
+    if row[j] < 0:
+        row = [-a for a in row]
+    for k in sorted(pivots):
+        if k > j:
+            q = row[k] // pivots[k][k]
+            if q:
+                row = [a - q * b for a, b in zip(row, pivots[k])]
+    return row
+
+
 def cokernel(rows: Sequence[Sequence[int]], n: int) -> AbelianGroup:
-    """Z^n modulo the lattice spanned by the given row vectors."""
+    """Z^n modulo the lattice spanned by the given row vectors.
+
+    The rows are first reduced to an echelon basis of the same lattice, at
+    most n rows, without keeping a transform; the Smith normal form then
+    runs on that small matrix only.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return AbelianGroup(n)
     if any(len(r) != n for r in rows):
         raise PreconditionError("row length does not match rank")
-    snf = smith_normal_form(rows)
+    basis, _ = _echelon(rows, n)
+    snf = smith_normal_form(basis)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return AbelianGroup(n - snf.rank, torsion)
 
@@ -205,17 +241,34 @@ def is_normalized(pres: FinitePresentation) -> bool:
     relator, (iii) read cyclically from its smallest index, every relator
     lists generators in increasing order.
     """
-    for rel in pres.relators:
-        if any(letter < 0 for letter in rel):
+    return all(_is_normal_relator(rel) for rel in pres.relators)
+
+
+def _is_normal_relator(rel: tuple[int, ...]) -> bool:
+    if any(letter < 0 for letter in rel):
+        return False
+    if len(set(rel)) != len(rel):
+        return False
+    if rel:
+        start = rel.index(min(rel))
+        rotated = rel[start:] + rel[:start]
+        if any(a >= b for a, b in zip(rotated, rotated[1:])):
             return False
-        if len(set(rel)) != len(rel):
-            return False
-        if rel:
-            start = rel.index(min(rel))
-            rotated = rel[start:] + rel[:start]
-            if any(a >= b for a, b in zip(rotated, rotated[1:])):
-                return False
     return True
+
+
+def fiber_genus(generators: int, letters: int, normalized: bool) -> int:
+    """Fiber genus of the prescribed-group fibration of a presentation.
+
+    The fibration over n normalized generators has genus 2n + 1, with n at
+    least 1.  Normalizing adds an inverse per generator and a fresh generator
+    per relator letter, so a presentation that is not yet normalized, with
+    the given generator and total relator letter counts, gets
+    2(2n + sum |r_i|) + 1.
+    """
+    if normalized:
+        return 2 * max(generators, 1) + 1
+    return 2 * (2 * generators + letters) + 1
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
@@ -287,9 +340,9 @@ class H1Result:
 def fibration_h1(p) -> H1Result:
     """H1 of the total space: Z^(2g) modulo the span of the vanishing cycles.
 
-    Duplicate columns are removed before the Smith normal form; when some
-    twist lacks an integer class the computation falls back to mod-2
-    coefficients with an explicit marker.
+    Duplicate rows are removed before the cokernel; when some twist lacks
+    an integer class the computation falls back to mod-2 coefficients with
+    an explicit marker.
     """
     n = p.basis.dim
     if p.has_integer_classes():
@@ -322,11 +375,21 @@ def korkmaz_relator_set(p, conjugator_curves: Sequence) -> list:
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# Presentation files whose prescribed-group fibration would have a larger fiber
+# genus are refused; at genus 65 the relation check and H1 take seconds and
+# tens of MiB.
+MAX_FIBER_GENUS = 65
+
 
 def presentation_from_text(text: str) -> FinitePresentation:
-    """Parse ``gens: x1 x2; rel: x1 x2 x1^-1 x2^-1;`` (one rel section per relator)."""
+    """Parse ``gens: x1 x2; rel: x1 x2 x1^-1 x2^-1;`` (one rel section per relator).
+
+    ``x^k`` stands for k letters x, or |k| letters x^-1 when k < 0.  Text
+    whose fibration would exceed ``MAX_FIBER_GENUS`` raises before any
+    relator is spelled out, so a huge exponent costs nothing.
+    """
     gens: list[str] = []
-    relators: list[tuple[int, ...]] = []
+    powers: list[list[tuple[int, int]]] = []  # per relator: (generator index, exponent)
     seen_gens = False
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -349,7 +412,7 @@ def presentation_from_text(text: str) -> FinitePresentation:
             if not seen_gens:
                 raise PreconditionError("rel section before gens")
             index = {name: i + 1 for i, name in enumerate(gens)}
-            letters: list[int] = []
+            rel: list[tuple[int, int]] = []
             for tok in tokens:
                 if "^" in tok:
                     name, exp_text = tok.split("^", 1)
@@ -361,14 +424,26 @@ def presentation_from_text(text: str) -> FinitePresentation:
                     name, exp = tok, 1
                 if name not in index:
                     raise PreconditionError(f"undeclared generator {name!r}")
-                sign = 1 if exp > 0 else -1
-                letters.extend([sign * index[name]] * abs(exp))
-            relators.append(tuple(letters))
+                rel.append((index[name], exp))
+            powers.append(rel)
         else:
             raise PreconditionError(f"unknown section {head!r}")
     if not seen_gens:
         raise PreconditionError("missing gens section")
-    return FinitePresentation(tuple(gens), tuple(relators))
+    # an exponent other than 0 or 1 repeats or inverts a generator, so the
+    # normal form can be decided without spelling the relators out
+    normalized = all(
+        all(e in (0, 1) for _, e in rel) and _is_normal_relator(tuple(i for i, e in rel if e))
+        for rel in powers
+    )
+    letters = sum(abs(e) for rel in powers for _, e in rel)
+    genus = fiber_genus(len(gens), letters, normalized)
+    if genus > MAX_FIBER_GENUS:
+        raise PreconditionError(f"presentation needs fiber genus {genus}, above the limit {MAX_FIBER_GENUS}")
+    relators = tuple(
+        tuple(letter for i, e in rel for letter in (i if e > 0 else -i,) * abs(e)) for rel in powers
+    )
+    return FinitePresentation(tuple(gens), relators)
 
 
 def presentation_to_text(pres: FinitePresentation) -> str:

@@ -100,6 +100,22 @@ class TestThmA:
         assert out == ""
         assert "exponent" in err
 
+    @pytest.mark.parametrize(
+        "text, genus",
+        [
+            ("gens: x; rel: x^100000000000000000000;", 2 * (2 + 10**20) + 1),
+            # 2(2n + sum |r_i|) + 1 = 67, one step over the genus limit of 65
+            ("gens: x; rel: x^31;", 67),
+        ],
+    )
+    def test_over_the_genus_limit(self, tmp_path, capsys, text, genus):
+        pres = tmp_path / "big.txt"
+        pres.write_text(text)
+        code, out, err = run_cli(capsys, "thm-a", "--presentation", str(pres))
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == f"precondition: presentation needs fiber genus {genus}, above the limit 65\n"
+
 
 class TestFamilies:
     def test_check_relation_families(self, capsys):

@@ -20,7 +20,15 @@ from mcg_spinlab.factorization import (
     product_matrix_int,
     product_matrix_mod2,
 )
-from mcg_spinlab.homology import ClassInt, ClassMod2, PreconditionError, SurfaceBasis, intersect
+from mcg_spinlab.homology import (
+    ClassInt,
+    ClassMod2,
+    IntMatrix,
+    PreconditionError,
+    SurfaceBasis,
+    intersect,
+    transvection_matrix,
+)
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
@@ -242,6 +250,33 @@ class TestCheckRelation:
         truncated = PositiveFactorization(p.basis, p.twists[:-1], 1)
         r = check_relation(truncated)
         assert not r.mod2 and r.integral is False
+
+
+class TestProductMatrixInt:
+    def test_against_dense_product(self):
+        # seeded words that are not relations, with repeated letters and
+        # coefficients up to +-3, against the ordered dense product
+        rng = make_rng(70)
+        repeated = largest = 0
+        for _ in range(40):
+            basis = SurfaceBasis(rng.randint(1, 4))
+            pool = []
+            while len(pool) < rng.randint(1, 4):
+                cls = random_int_class(rng, basis)
+                if not cls.is_zero():
+                    pool.append(cls)
+            word = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+            twists = tuple(
+                Curve(f"c{i}", cls.mod2(), cls, nonseparating=False) for i, cls in enumerate(word)
+            )
+            dense = IntMatrix.identity(basis.dim)
+            for cls in word:
+                dense = dense @ transvection_matrix(cls)
+            assert not dense.is_identity()
+            assert product_matrix_int(PositiveFactorization(basis, twists, 0)) == dense
+            repeated += len(set(word)) < len(word)
+            largest = max([largest] + [abs(a) for cls in word for a in cls.coords])
+        assert repeated and largest == 3
 
 
 class TestCheckSpin:

@@ -2,14 +2,18 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcg_spinlab.factorization import Curve, PositiveFactorization
 from mcg_spinlab.homology import PreconditionError, SurfaceBasis
 from mcg_spinlab.presentations import (
+    MAX_FIBER_GENUS,
     AbelianGroup,
     FinitePresentation,
     abelianization,
     cokernel,
+    fiber_genus,
     fibration_h1,
     is_normalized,
     korkmaz_relator_set,
@@ -18,7 +22,12 @@ from mcg_spinlab.presentations import (
     presentation_to_text,
     smith_normal_form,
 )
-from mcg_spinlab.constructions import bred_fibration, hyperelliptic_factorizations, korkmaz_cadavid
+from mcg_spinlab.constructions import (
+    bred_fibration,
+    hyperelliptic_factorizations,
+    korkmaz_cadavid,
+    spin_fibration_with_group,
+)
 
 from .conftest import make_rng
 
@@ -100,6 +109,86 @@ class TestSmith:
                     assert dk == product
                 else:
                     assert dk == 0
+
+    def test_tall_matrix_with_small_entries(self):
+        # smallest-pivot elimination pushed the entries of this matrix past
+        # 500,000 bits and did not finish; the echelon passes keep them small
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        m = [
+            [0, 0, -5, -2, -2, 8, -4], [0, 0, 0, 0, 0, 0, 0], [0, 0, -5, -2, -2, 8, -4],
+            [-5, -5, -5, -6, -1, 0, 6], [-8, 0, 5, -4, 3, -1, 6], [-9, -7, 1, -8, -2, -1, 13],
+            [-1, -5, -7, -5, -4, 1, 5], [-9, -7, 1, -8, -2, -1, 13], [0, 0, 0, 0, 0, 0, 0],
+            [-9, -7, 1, -8, -2, -1, 13], [0, 0, -5, -2, -2, 8, -4], [-7, -1, -2, -7, -1, 4, 4],
+            [3, 1, -5, 1, -1, -2, -4], [6, 4, -6, 2, 0, 4, -9], [-9, 3, 2, -8, 1, -3, 7],
+            [3, -1, -1, 1, -2, 0, 0],
+        ]
+        res = smith_normal_form(m)
+        assert Matrix(res.left) * Matrix(m) * Matrix(res.right) == Matrix(res.d)
+        assert abs(Matrix(res.left).det()) == 1 and abs(Matrix(res.right).det()) == 1
+        assert group_from_factors(7, res.invariant_factors) == group_from_factors(
+            7, invariant_factors(Matrix(m), domain=ZZ)
+        )
+
+
+def random_lattice_rows(rng):
+    """A tall integer matrix: combinations of up to n scaled base rows, with zero and duplicate rows."""
+    n = rng.randint(1, 8)
+    base = []
+    for _ in range(rng.randint(0, n)):
+        scale = rng.choice((1, 1, 2, 3, 4, 6))
+        base.append([scale * rng.randint(-4, 4) for _ in range(n)])
+    rows = []
+    for _ in range(rng.randint(1, 40)):
+        kind = rng.random()
+        if kind < 0.1 or not base:
+            rows.append([0] * n)
+        elif kind < 0.25 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            row = [0] * n
+            for b in base:
+                k = rng.randint(-2, 2)
+                row = [a + k * x for a, x in zip(row, b)]
+            rows.append(row)
+    return rows, n
+
+
+def group_from_factors(n, factors):
+    """Z^n modulo a lattice with the given invariant factors (zeros allowed)."""
+    nonzero = sorted(abs(d) for d in factors if d)
+    return AbelianGroup(n - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+class TestCokernel:
+    def test_against_full_smith_normal_form_and_sympy(self):
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = make_rng(42)
+        torsion = deficient = 0
+        for _ in range(150):
+            rows, n = random_lattice_rows(rng)
+            got = cokernel(rows, n)
+            snf = smith_normal_form(rows)
+            assert got == group_from_factors(n, snf.invariant_factors)
+            assert got == group_from_factors(n, invariant_factors(Matrix(rows), domain=ZZ))
+            torsion += bool(got.torsion)
+            deficient += len(rows) >= n and got.free_rank > 0
+        assert torsion > 20 and deficient > 20
+
+    def test_no_rows_and_zero_rows(self):
+        assert cokernel([], 3) == AbelianGroup(3)
+        assert cokernel([[0, 0, 0], [0, 0, 0]], 3) == AbelianGroup(3)
+
+    def test_genus_33_reference(self):
+        # the 1191 x 66 case of <x0,x1,x2 | x0^2, x1^2, x2^2, [x0,x1]>
+        text = "gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;"
+        p, _ = spin_fibration_with_group(presentation_from_text(text))
+        rows = sorted({c.int_class.coords for c in p.twists})
+        assert (len(rows), p.basis.dim) == (1191, 66)
+        assert cokernel(rows, p.basis.dim) == AbelianGroup(0, (2, 2, 2))
 
 
 class TestAbelianization:
@@ -243,3 +332,90 @@ class TestTextFormat:
             presentation_from_text("rel: x;")
         with pytest.raises(PreconditionError):
             presentation_from_text("gens: x; rel: y;")
+
+    @pytest.mark.parametrize(
+        "text, genus",
+        [
+            ("gens: x; rel: x^30;", 65),
+            ("gens: x y; rel: x^13 y^-13;", 61),
+            (f"gens: {' '.join(f'g{i}' for i in range(32))}; rel: g3 g7 g1;", 65),
+        ],
+    )
+    def test_at_the_genus_limit(self, text, genus):
+        pres = presentation_from_text(text)
+        assert 2 * len(normalize_presentation(pres).generators) + 1 == genus <= MAX_FIBER_GENUS
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gens: x; rel: x^31;",
+            "gens: x; rel: x^100000000000000000000;",
+            "gens: x; rel: x^-100000000000000000000 x^0;",
+            f"gens: {' '.join(f'g{i}' for i in range(33))};",
+        ],
+    )
+    def test_over_the_genus_limit(self, text):
+        with pytest.raises(PreconditionError, match="fiber genus"):
+            presentation_from_text(text)
+
+
+class TestFiberGenus:
+    def test_matches_normalization(self):
+        rng = make_rng(43)
+        for _ in range(200):
+            pres = random_presentation(rng)
+            letters = sum(len(rel) for rel in pres.relators)
+            normalized = normalize_presentation(pres)
+            expected = 2 * max(len(normalized.generators), 1) + 1
+            assert fiber_genus(len(pres.generators), letters, is_normalized(pres)) == expected
+
+    @pytest.mark.parametrize("text", ["gens: x; rel: x;", "gens: a b;", "gens: x; rel: x^2;", "gens: ;"])
+    def test_matches_the_fibration(self, text):
+        pres = presentation_from_text(text)
+        letters = sum(len(rel) for rel in pres.relators)
+        _, cert = spin_fibration_with_group(pres)
+        assert fiber_genus(len(pres.generators), letters, is_normalized(pres)) == cert.genus
+
+
+# parser fuzzing: mostly well-formed presentations whose tokens use declared,
+# undeclared and malformed names, exponents that are zero, negative, beyond the
+# genus limit or oddly spelled, and stray sections and separators
+_EXPONENTS = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.sampled_from([10**20, -(10**20), 2**63, 2**64 + 1]).map(str),
+    st.sampled_from(["", "+2", "02", "-0", "1_0", "x", "--1", "^", "2.0", "\u0663"]),
+)
+_JUNK = st.sampled_from(["", ":", "foo: x", "gens", "rel:", "gens: y", "rel: x: y"])
+
+
+@st.composite
+def _presentation_texts(draw):
+    gens = draw(st.lists(st.sampled_from(["x", "y", "z1", "_a", "B"]), max_size=4))
+    names = st.sampled_from(gens + ["w", "1x", "x-y", "", "\u00e9"])
+    token = st.one_of(names, st.builds(lambda n, e: f"{n}^{e}", names, _EXPONENTS))
+    sections = ["gens: " + " ".join(gens)]
+    for _ in range(draw(st.integers(0, 4))):
+        space = draw(st.sampled_from([" ", "\n", "\t"]))
+        sections.append("rel: " + space.join(draw(st.lists(token, max_size=5))))
+    for pos, junk in draw(st.lists(st.tuples(st.integers(0, len(sections)), _JUNK), max_size=2)):
+        sections.insert(pos, junk)
+    separator = draw(st.sampled_from([";", "; ", ";\n", " ; ", ";;"]))
+    return separator.join(sections) + draw(st.sampled_from(["", ";", ";;"]))
+
+
+def _round_trips_or_refuses(text):
+    try:
+        pres = presentation_from_text(text)
+    except PreconditionError:
+        return
+    assert presentation_from_text(presentation_to_text(pres)) == pres
+
+
+class TestTextFuzz:
+    @given(_presentation_texts())
+    def test_presentation_text(self, text):
+        _round_trips_or_refuses(text)
+
+    @given(st.text(alphabet=st.sampled_from(list("gensrl: ;^-0123456789xy_\n")), max_size=60))
+    def test_arbitrary_text(self, text):
+        _round_trips_or_refuses(text)
