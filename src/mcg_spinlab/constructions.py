@@ -24,6 +24,7 @@ from .factorization import (
     commuting_block_permute,
     conjugate,
     fiber_sum,
+    product_matrix_mod2,
     word_image,
     PENCIL_ORDER,
     SpinCertificate,
@@ -31,13 +32,11 @@ from .factorization import (
 from .homology import (
     ClassInt,
     ClassMod2,
-    Mod2Matrix,
     PreconditionError,
     QuadraticForm,
     SurfaceBasis,
     intersect,
     mod2_rank,
-    transvection_matrix,
 )
 from .invariants import FibrationInvariants, invariants_of
 from .presentations import (
@@ -252,12 +251,8 @@ def pencil_images(g: int) -> SubsurfaceImage:
     boundary = subsurface_boundary(g)
     image = SubsurfaceImage(boundary, interior)
 
-    lhs = Mod2Matrix.identity(basis.dim)
-    for cur in interior:
-        lhs = lhs @ transvection_matrix(cur.mod2)
-    rhs = Mod2Matrix.identity(basis.dim)
-    for cur in boundary:
-        rhs = rhs @ transvection_matrix(cur.mod2)
+    lhs = product_matrix_mod2(PositiveFactorization(basis, interior, 0))
+    rhs = product_matrix_mod2(PositiveFactorization(basis, boundary, 0))
     if lhs != rhs:
         raise AssertionError("pencil catalog: interior product does not match boundary product mod 2")
     return image

@@ -332,6 +332,8 @@ def realize(pt: GeographyPoint) -> Optional[tuple[int, int]]:
 
 def enumerate_region(m_max: int) -> list[GeographyPoint]:
     """All admissible points with m <= m_max, ordered by (m, n)."""
+    if m_max < 0:
+        raise PreconditionError("region enumeration needs m_max >= 0")
     if m_max > 10_000:
         raise PreconditionError("region enumeration guarded at m <= 10^4")
     points = []

@@ -1,17 +1,18 @@
 """Finite presentations, Smith normal form, and H1 certificates.
 
-The Smith normal form is hand-rolled so the unimodular transforms are
-returned for audit and the result is deterministic.  It alternates row and
-column echelon passes (Kannan-Bachem) whose pivot rows are kept reduced, so
-the entries stay small.  ``cokernel`` keeps no transforms: it first reduces
-its rows by gcd row operations to an integer echelon basis of at most n rows,
-and only that small matrix goes through the Smith normal form.
+The Smith normal form is hand-rolled so the result is deterministic, and it
+returns only the invariant factors: no unimodular transform is built.  It
+alternates row and column echelon passes (Kannan-Bachem) that keep only the
+pivot rows, reduced so the entries stay small.  A cokernel is one Smith
+normal form of its rows; the first row pass already cuts a tall matrix down
+to at most n rows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
 from .homology import PreconditionError, intersect, mod2_rank
@@ -66,109 +67,48 @@ class AbelianGroup:
 # --- Smith normal form ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    d: tuple[tuple[int, ...], ...]
-    rank: int
-    left: tuple[tuple[int, ...], ...]   # U with D = U M V
-    right: tuple[tuple[int, ...], ...]  # V
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix, all d_i > 0.
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(self.d[i][i] for i in range(self.rank))
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns D = U M V with the divisibility chain d1 | d2 | ... on the
-    diagonal and d_i > 0.  Row and column echelon passes alternate until the
-    matrix is diagonal (Kannan-Bachem), each pass carrying its transform
-    along as extra columns; 2x2 gcd/lcm steps then order the diagonal into
-    the chain.  Deterministic.
+    The rank is the length of the tuple.  Row echelon passes on the matrix
+    and on its transpose alternate until it is diagonal (Kannan-Bachem); each
+    pass keeps only its pivot rows, reduced so the entries stay small.  A gcd
+    step per pair of diagonal entries then turns the diagonal into the
+    divisibility chain.  Deterministic.
     """
     m = [list(map(int, row)) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    ncols = len(m[0]) if m else 0
     if any(len(row) != ncols for row in m):
         raise PreconditionError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    while True:
-        m, u = _echelon_pass(m, u, ncols)
-        if _is_diagonal(m):
-            break
-        mt, vt = _echelon_pass(_transposed(m), _transposed(v), nrows)
-        m, v = _transposed(mt), _transposed(vt)
-        if _is_diagonal(m):
-            break
-
-    rank = sum(1 for i in range(min(nrows, ncols)) if m[i][i])
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            a, b = m[i][i], m[j][j]
-            if b % a == 0:
-                continue
-            # rows by [[s, t], [-b/g, a/g]] and columns by [[1, -tb/g], [1, sa/g]]
-            # turn diag(a, b) into diag(g, ab/g)
-            s, t, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            u[i], u[j] = (
-                [s * x + t * y for x, y in zip(u[i], u[j])],
-                [ag * y - bg * x for x, y in zip(u[i], u[j])],
-            )
-            for row in v:
-                row[i], row[j] = row[i] + row[j], s * ag * row[j] - t * bg * row[i]
-            m[i][i], m[j][j] = g, ag * b
-    return SNFResult(
-        tuple(tuple(row) for row in m),
-        rank,
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
+    m = _echelon(m)
+    while _off_diagonal(m):
+        m = _echelon([list(col) for col in zip(*m)])
+    d = [row[i] for i, row in enumerate(m)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            # diag(a, b) and diag(gcd, lcm) have the same cokernel
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
-def _echelon_pass(m: list[list[int]], transform: list[list[int]], n: int):
-    """Row echelon form of m, with the same row operations applied to transform."""
-    pivots, rest = _echelon([a + b for a, b in zip(m, transform)], n)
-    rows = pivots + rest
-    return [r[:n] for r in rows], [r[n:] for r in rows]
+def _off_diagonal(m: list[list[int]]) -> bool:
+    return any(a for i, row in enumerate(m) for j, a in enumerate(row) if i != j)
 
 
-def _is_diagonal(m: list[list[int]]) -> bool:
-    return not any(a for i, row in enumerate(m) for j, a in enumerate(row) if i != j)
+def _echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Pivot rows, in column order, of an echelon form of rows by unimodular row operations.
 
-
-def _transposed(m: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*m)]
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(s, t, g) with s a + t b = g = gcd(a, b), for a, b > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return s0, t0, a
-
-
-def _echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Echelon form, by unimodular row operations, of rows whose first n entries count.
-
-    Returns the pivot rows in column order and the rows that end up zero in
-    their first n entries; together they span the same lattice as ``rows``.
-    Each row is cleared column by column against the pivot row of that
-    column by Euclidean subtract-and-swap, which leaves the gcd in the pivot
-    row; a row that reaches a column without a pivot row becomes one.  A new
-    or changed pivot row gets a positive pivot and is reduced modulo the
-    later pivots, which keeps the entries small.
+    The pivot rows span the same lattice as ``rows``; rows that end up zero
+    are dropped.  Each row is cleared column by column against the pivot row
+    of that column by Euclidean subtract-and-swap, which leaves the gcd in
+    the pivot row; a row that reaches a column without a pivot row becomes
+    one.  A new or changed pivot row gets a positive pivot and is reduced
+    modulo the later pivots, which keeps the entries small.
     """
     pivots: dict[int, list[int]] = {}
-    rest: list[list[int]] = []
     for row in rows:
-        for j in range(n):
+        for j in range(len(row)):
             if not row[j]:
                 continue
             top = pivots.get(j)
@@ -185,9 +125,7 @@ def _echelon(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[list[
                 changed = True
             if changed:
                 pivots[j] = _reduced_pivot_row(top, j, pivots)
-        else:
-            rest.append(row)
-    return [pivots[j] for j in sorted(pivots)], rest
+    return [pivots[j] for j in sorted(pivots)]
 
 
 def _reduced_pivot_row(row: list[int], j: int, pivots: dict[int, list[int]]) -> list[int]:
@@ -202,21 +140,11 @@ def _reduced_pivot_row(row: list[int], j: int, pivots: dict[int, list[int]]) -> 
 
 
 def cokernel(rows: Sequence[Sequence[int]], n: int) -> AbelianGroup:
-    """Z^n modulo the lattice spanned by the given row vectors.
-
-    The rows are first reduced to an echelon basis of the same lattice, at
-    most n rows, without keeping a transform; the Smith normal form then
-    runs on that small matrix only.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return AbelianGroup(n)
+    """Z^n modulo the lattice spanned by the given row vectors."""
     if any(len(r) != n for r in rows):
         raise PreconditionError("row length does not match rank")
-    basis, _ = _echelon(rows, n)
-    snf = smith_normal_form(basis)
-    torsion = tuple(d for d in snf.invariant_factors if d > 1)
-    return AbelianGroup(n - snf.rank, torsion)
+    f = smith_normal_form(rows)
+    return AbelianGroup(n - len(f), tuple(d for d in f if d > 1))
 
 
 def abelianization(pres: FinitePresentation) -> AbelianGroup:

@@ -74,19 +74,31 @@ def _det(matrix):
 
 
 def snf_determinantal_divisors(rng, cases: int) -> int:
+    """The k-th determinantal divisor (gcd of the k x k minors) is d1 ... dk, and 0 past the rank.
+
+    Matrices are up to 6 x 4, tall ones included, with zero and duplicate rows.
+    """
     for _ in range(cases):
-        nrows = rng.randint(1, 4)
+        nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-        res = smith_normal_form(m)
+        m = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if kind < 0.15:
+                m.append([0] * ncols)
+            elif kind < 0.3 and m:
+                m.append(list(rng.choice(m)))
+            else:
+                m.append([rng.randint(-9, 9) for _ in range(ncols)])
+        factors = smith_normal_form(m)
         product = 1
-        for k in range(1, min(3, nrows, ncols) + 1):
+        for k in range(1, min(nrows, ncols) + 1):
             dk = 0
             for rows in combinations(range(nrows), k):
                 for cols in combinations(range(ncols), k):
                     dk = gcd(dk, _det([[m[i][j] for j in cols] for i in rows]))
-            if k <= res.rank:
-                product *= res.invariant_factors[k - 1]
+            if k <= len(factors):
+                product *= factors[k - 1]
                 assert dk == product
             else:
                 assert dk == 0

@@ -145,6 +145,32 @@ class TestFamilies:
         doc = json.loads(out)
         assert doc["results"] == {"coefficients": "Z/2", "dimension": 0}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-spin", "--family", "kc", "--form", "all-ones"),
+            ("check-relation", "--family", "kc"),
+            ("invariants", "--family", "hyp", "--sigma", "paper"),
+            ("h1", "--family", "kc"),
+            ("thm-b", "--k", "0"),
+        ],
+    )
+    def test_over_the_genus_limit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--g", "67")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "precondition: genus 67 is above the limit 65\n"
+
+    def test_at_the_genus_limit(self, capsys):
+        # the kc block fails the parity gate at every genus (odd boundary power)
+        code, out, _ = run_cli(capsys, "check-spin", "--family", "kc", "--g", "65", "--form", "all-ones", "--json")
+        assert code == EXIT_VERDICT
+        assert json.loads(out)["results"]["all_values_one"] is True
+        code, _, _ = run_cli(
+            capsys, "check-spin", "--family", "bred", "--g", "65", "--k", "1", "--form", "alternating"
+        )
+        assert code == EXIT_OK
+
     def test_invariants_paper_source(self, capsys):
         code, out, _ = run_cli(
             capsys, "invariants", "--family", "bred", "--g", "7", "--k", "2", "--sigma", "paper", "--json"

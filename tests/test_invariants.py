@@ -251,3 +251,5 @@ class TestGeography:
     def test_guard(self):
         with pytest.raises(PreconditionError):
             enumerate_region(10_001)
+        with pytest.raises(PreconditionError):
+            enumerate_region(-1)

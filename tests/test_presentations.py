@@ -1,6 +1,3 @@
-from itertools import combinations
-from math import gcd
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,80 +39,32 @@ def random_presentation(rng, max_gens=5, max_rels=4, max_len=8):
     return FinitePresentation(gens, tuple(rels))
 
 
-def det(matrix):
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * det(minor)
-    return total
+def sympy_factors(matrix):
+    """Nonzero invariant factors from sympy, the test-only oracle."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
 
-
-def determinantal_divisor(matrix, k):
-    """gcd of all k x k minors; 0 when all vanish."""
-    nrows, ncols = len(matrix), len(matrix[0])
-    g = 0
-    for rows in combinations(range(nrows), k):
-        for cols in combinations(range(ncols), k):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            g = gcd(g, det(sub))
-    return g
+    return tuple(abs(int(d)) for d in invariant_factors(Matrix(matrix), domain=ZZ) if d)
 
 
 class TestSmith:
     def test_identity(self):
-        res = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert res.rank == 3
-        assert res.invariant_factors == (1, 1, 1)
+        assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
 
     def test_two_by_two(self):
-        res = smith_normal_form([[2, 0], [0, 3]])
-        assert res.invariant_factors == (1, 6)
+        assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
 
     def test_zero_matrix(self):
-        res = smith_normal_form([[0, 0], [0, 0]])
-        assert res.rank == 0
+        assert smith_normal_form([[0, 0], [0, 0]]) == ()
+        assert smith_normal_form([]) == ()
 
-    def test_transforms_multiply_out(self):
-        rng = make_rng(40)
-        for _ in range(60):
-            nrows = rng.randint(1, 4)
-            ncols = rng.randint(1, 4)
-            m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-            res = smith_normal_form(m)
-            # D = U M V
-            um = [[sum(res.left[i][k] * m[k][j] for k in range(nrows)) for j in range(ncols)] for i in range(nrows)]
-            umv = [[sum(um[i][k] * res.right[k][j] for k in range(ncols)) for j in range(ncols)] for i in range(nrows)]
-            assert [list(r) for r in res.d] == umv
-            assert abs(det([list(r) for r in res.left])) == 1
-            assert abs(det([list(r) for r in res.right])) == 1
-
-    def test_determinantal_divisors(self):
-        rng = make_rng(41)
-        for _ in range(60):
-            nrows = rng.randint(1, 4)
-            ncols = rng.randint(1, 4)
-            m = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-            res = smith_normal_form(m)
-            product = 1
-            for k in range(1, min(3, nrows, ncols) + 1):
-                dk = determinantal_divisor(m, k)
-                if k <= res.rank:
-                    product *= res.invariant_factors[k - 1]
-                    assert dk == product
-                else:
-                    assert dk == 0
+    def test_ragged_matrix(self):
+        with pytest.raises(PreconditionError):
+            smith_normal_form([[1, 2], [3]])
 
     def test_tall_matrix_with_small_entries(self):
         # smallest-pivot elimination pushed the entries of this matrix past
         # 500,000 bits and did not finish; the echelon passes keep them small
-        from sympy import ZZ, Matrix
-        from sympy.matrices.normalforms import invariant_factors
-
         m = [
             [0, 0, -5, -2, -2, 8, -4], [0, 0, 0, 0, 0, 0, 0], [0, 0, -5, -2, -2, 8, -4],
             [-5, -5, -5, -6, -1, 0, 6], [-8, 0, 5, -4, 3, -1, 6], [-9, -7, 1, -8, -2, -1, 13],
@@ -124,12 +73,7 @@ class TestSmith:
             [3, 1, -5, 1, -1, -2, -4], [6, 4, -6, 2, 0, 4, -9], [-9, 3, 2, -8, 1, -3, 7],
             [3, -1, -1, 1, -2, 0, 0],
         ]
-        res = smith_normal_form(m)
-        assert Matrix(res.left) * Matrix(m) * Matrix(res.right) == Matrix(res.d)
-        assert abs(Matrix(res.left).det()) == 1 and abs(Matrix(res.right).det()) == 1
-        assert group_from_factors(7, res.invariant_factors) == group_from_factors(
-            7, invariant_factors(Matrix(m), domain=ZZ)
-        )
+        assert smith_normal_form(m) == sympy_factors(m)
 
 
 def random_lattice_rows(rng):
@@ -156,24 +100,18 @@ def random_lattice_rows(rng):
 
 
 def group_from_factors(n, factors):
-    """Z^n modulo a lattice with the given invariant factors (zeros allowed)."""
-    nonzero = sorted(abs(d) for d in factors if d)
-    return AbelianGroup(n - len(nonzero), tuple(d for d in nonzero if d > 1))
+    """Z^n modulo a lattice with the given nonzero invariant factors."""
+    return AbelianGroup(n - len(factors), tuple(d for d in factors if d > 1))
 
 
 class TestCokernel:
-    def test_against_full_smith_normal_form_and_sympy(self):
-        from sympy import ZZ, Matrix
-        from sympy.matrices.normalforms import invariant_factors
-
+    def test_against_sympy(self):
         rng = make_rng(42)
         torsion = deficient = 0
         for _ in range(150):
             rows, n = random_lattice_rows(rng)
             got = cokernel(rows, n)
-            snf = smith_normal_form(rows)
-            assert got == group_from_factors(n, snf.invariant_factors)
-            assert got == group_from_factors(n, invariant_factors(Matrix(rows), domain=ZZ))
+            assert got == group_from_factors(n, sympy_factors(rows))
             torsion += bool(got.torsion)
             deficient += len(rows) >= n and got.free_rank > 0
         assert torsion > 20 and deficient > 20
@@ -181,6 +119,12 @@ class TestCokernel:
     def test_no_rows_and_zero_rows(self):
         assert cokernel([], 3) == AbelianGroup(3)
         assert cokernel([[0, 0, 0], [0, 0, 0]], 3) == AbelianGroup(3)
+
+    def test_wrong_row_width(self):
+        with pytest.raises(PreconditionError):
+            cokernel([[1, 2, 3], [4, 5]], 3)
+        with pytest.raises(PreconditionError):
+            cokernel([[1, 2]], 3)
 
     def test_genus_33_reference(self):
         # the 1191 x 66 case of <x0,x1,x2 | x0^2, x1^2, x2^2, [x0,x1]>
