@@ -19,7 +19,7 @@ from .dsl import ScriptError, h1_results, invariants_results, parse_script, rela
 from .factorization import apply_word, check_relation, check_spin
 from .homology import PreconditionError
 from .invariants import enumerate_region, invariants_of, realize, signature_endo, signature_meyer
-from .presentations import MAX_FIBER_GENUS, fibration_h1, presentation_from_text
+from .presentations import check_fiber_genus, fibration_h1, presentation_from_text
 from .constructions import (
     boundary_conjugators,
     bred_fibration,
@@ -59,14 +59,8 @@ def certificate(command: str, inputs: dict, results: dict) -> dict:
     }
 
 
-def _check_genus(g: int) -> None:
-    """Refuse a fiber genus above the one presentation files may reach, before anything is built."""
-    if g > MAX_FIBER_GENUS:
-        raise PreconditionError(f"genus {g} is above the limit {MAX_FIBER_GENUS}")
-
-
 def _family_factorization(args):
-    _check_genus(args.g)
+    check_fiber_genus(args.g)
     family = args.family
     if family == "kc":
         return korkmaz_cadavid(args.g)
@@ -199,7 +193,7 @@ def cmd_thm_a(args) -> int:
 
 
 def cmd_thm_b(args) -> int:
-    _check_genus(args.g)
+    check_fiber_genus(args.g)
     _, cert = bred_fibration(args.g, args.k)
     results = {
         "g": cert.g,

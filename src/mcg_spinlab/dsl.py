@@ -41,7 +41,7 @@ from .factorization import (
 )
 from .homology import ClassInt, ClassMod2, PreconditionError, QuadraticForm, SurfaceBasis
 from .invariants import invariants_of
-from .presentations import fibration_h1
+from .presentations import check_fiber_genus, fibration_h1
 
 
 class ScriptError(ValueError):
@@ -62,6 +62,8 @@ class Token:
 
 
 _PUNCT = set(";=:,[]^")
+# ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
+_DIGITS = frozenset("0123456789")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -84,9 +86,9 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < len(text) and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -196,6 +198,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def next_int(self) -> int:
+        tok = self.next("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ScriptError(f"integer of {len(tok.text)} digits is too long", tok.line, tok.column) from None
+
     def at_text(self, text: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.text == text
@@ -208,7 +217,8 @@ class _Parser:
 
     def statement(self) -> Statement:
         tok = self.next("name")
-        handler = getattr(self, "stmt_" + tok.text.replace("-", "_"), None)
+        # statement names are spelled with '-'; '_' would reach the same handler
+        handler = None if "_" in tok.text else getattr(self, "stmt_" + tok.text.replace("-", "_"), None)
         if handler is None:
             raise ScriptError(f"unknown statement {tok.text!r}", tok.line, tok.column)
         args = handler()
@@ -218,7 +228,7 @@ class _Parser:
     def stmt_basis(self):
         self.next("name", "g")
         self.next("punct", "=")
-        genus = int(self.next("int").text)
+        genus = self.next_int()
         labels = "xy"
         if self.at_text("labels"):
             self.next()
@@ -232,7 +242,7 @@ class _Parser:
         while not self.at_text(";"):
             lab = self.next("name").text
             self.next("punct", ":")
-            bit = int(self.next("int").text)
+            bit = self.next_int()
             pairs.append((lab, bit))
         return (name, tuple(pairs))
 
@@ -253,10 +263,10 @@ class _Parser:
                 sparse = "+".join(parts)
         if self.at_text("["):
             self.next()
-            coords = [int(self.next("int").text)]
+            coords = [self.next_int()]
             while self.at_text(","):
                 self.next()
-                coords.append(int(self.next("int").text))
+                coords.append(self.next_int())
             self.next("punct", "]")
         if sparse is None and coords is None:
             tok = self.peek()
@@ -273,7 +283,7 @@ class _Parser:
             e = 1
             if self.at_text("^"):
                 self.next()
-                e = int(self.next("int").text)
+                e = self.next_int()
                 if e not in (1, -1):
                     raise ScriptError("word exponents must be 1 or -1", ref.line, ref.column)
             letters.append((ref.text, e))
@@ -288,12 +298,12 @@ class _Parser:
             rep = 1
             if self.at_text("^"):
                 self.next()
-                rep = int(self.next("int").text)
+                rep = self.next_int()
                 if rep < 1:
                     raise ScriptError("entry exponents must be positive", ref.line, ref.column)
             entries.append((ref.text, rep))
         self.next("name", "power")
-        power = int(self.next("int").text)
+        power = self.next_int()
         return (name, tuple(entries), power)
 
     def stmt_pencil(self):
@@ -323,7 +333,7 @@ class _Parser:
         self.next("punct", "=")
         fact = self.next("name").text
         self.next("name", "at")
-        index = int(self.next("int").text)
+        index = self.next_int()
         direction = self.next("name").text
         return (name, fact, index, direction)
 
@@ -332,7 +342,7 @@ class _Parser:
         self.next("punct", "=")
         fact = self.next("name").text
         self.next("name", "at")
-        index = int(self.next("int").text)
+        index = self.next_int()
         self.next("name", "with")
         image = self.next("name").text
         return (name, fact, index, image)
@@ -441,6 +451,7 @@ def run_script(script: Script) -> list[dict]:
 def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
     a = s.args
     if s.kind == "basis":
+        check_fiber_genus(a[0])
         env.basis = SurfaceBasis(a[0], a[1])
         env.forms.clear()
         env.curves.clear()

@@ -9,6 +9,7 @@ deterministic; curve labels are display data and never affect the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
 from .homology import (
@@ -336,47 +337,175 @@ class RelationCheck:
 def product_matrix_mod2(p: PositiveFactorization) -> Mod2Matrix:
     """Ordered product of the mod-2 transvection matrices.
 
-    Each factor is I + c (Jc)^T, so right-multiplication is the rank-1
-    update M -> M + (Mc)(Jc)^T, done row by row on the packed rows.
+    Column j of the running product M is one int whose bit i is M[i][j]
+    (lanes of width 1).  Each factor is I + c (Jc)^T, so right-multiplying
+    by it is the rank-1 update col_j ^= Mc for j in supp Jc, where Mc is
+    the XOR of col_i over i in supp c: |supp c| + |supp Jc| int operations
+    per twist.  The supports are listed once per distinct class, and the
+    columns are transposed into ``Mod2Matrix`` rows at the end.
     """
     n = p.basis.dim
-    rows = list(Mod2Matrix.identity(n).rows)
+    cols = [1 << j for j in range(n)]
+    supports: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for curve in p.twists:
-        c_bits = curve.mod2.bits
-        jc_bits = pairing_vector(curve.mod2)
-        for i in range(n):
-            if (rows[i] & c_bits).bit_count() & 1:
-                rows[i] ^= jc_bits
+        bits = curve.mod2.bits
+        support = supports.get(bits)
+        if support is None:
+            jc = ClassMod2(p.basis, pairing_vector(curve.mod2))
+            support = supports[bits] = (curve.mod2.support(), jc.support())
+        c_support, jc_support = support
+        mc = 0
+        for i in c_support:
+            mc ^= cols[i]
+        for j in jc_support:
+            cols[j] ^= mc
+    rows = [0] * n
+    for j, col in enumerate(cols):
+        for i in ClassMod2(p.basis, col).support():
+            rows[i] |= 1 << j
     return Mod2Matrix(n, tuple(rows))
 
 
-def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
-    """Ordered product of the integer transvection matrices.
+# Starting lane width W of the packed integer product, and the s of its range
+# check; neither changes a result, only how often the slow paths run.
+_LANE_BITS = 64
+_RANGE_BITS = 8
 
-    Each factor is I + c (Jc)^T, so right-multiplication is the rank-1
-    update M -> M + (Mc)(Jc)^T.  The nonzero entries of c and Jc are listed
-    once per distinct class, so a row costs |supp c| and not 2g.
+
+class _Lanes:
+    """Signed lanes of width W packed into one int per matrix column.
+
+    A column int is exactly sum_i M[i][j] * 2^(W i).  It decodes uniquely
+    while every entry lies in [-2^(W-1), 2^(W-1)), which the product keeps
+    by holding every column bound at most ``cap`` = 2^(W-2).
+    """
+
+    def __init__(self, n: int, width: int) -> None:
+        self.n = n
+        self.width = width
+        self.cap = 1 << (width - 2)
+        ones = sum(1 << (width * i) for i in range(n))
+        self._half = ones << (width - 1)
+        self._range_offset = ones << _RANGE_BITS
+        self._range_outside = ~(ones * ((2 << _RANGE_BITS) - 1))
+
+    def encode(self, entries: Sequence[int]) -> int:
+        step = self.width // 8
+        half = 1 << (self.width - 1)
+        data = b"".join((e + half).to_bytes(step, "little") for e in entries)
+        return int.from_bytes(data, "little") - self._half
+
+    def decode(self, col: int) -> list[int]:
+        step = self.width // 8
+        half = 1 << (self.width - 1)
+        data = (col + self._half).to_bytes(self.n * step, "little")
+        return [int.from_bytes(data[k:k + step], "little") - half for k in range(0, len(data), step)]
+
+    def tighten(self, cols: list[int], bound: list[int], idx: Sequence[int]) -> bool:
+        """Lower the bounds of columns ``idx``; True if the lanes must widen.
+
+        A range check adds S = sum_i 2^s 2^(W i): when no bit of the sum lies
+        outside the low s+1 bits of its lane (which also makes it >= 0), every
+        entry is in [-2^s, 2^s).  A column that fails is decoded exactly, and
+        an entry within a factor 2^s of the cap asks for wider lanes.
+        """
+        floor = 1 << _RANGE_BITS
+        widen = False
+        for j in idx:
+            if bound[j] <= floor:
+                continue
+            if not (cols[j] + self._range_offset) & self._range_outside:
+                bound[j] = floor
+                continue
+            bound[j] = max(map(abs, self.decode(cols[j])))
+            widen = widen or bound[j] > self.cap >> _RANGE_BITS
+        return widen
+
+    def widened(self, cols: list[int]) -> "_Lanes":
+        """Lanes of twice the width, with every column re-encoded into them."""
+        wide = _Lanes(self.n, 2 * self.width)
+        cols[:] = [wide.encode(self.decode(col)) for col in cols]
+        return wide
+
+
+def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
+    """Ordered product of the integer transvection matrices, exactly.
+
+    Column j of the running product M is one int with M[i][j] in lane i
+    (see ``_Lanes``).  Each factor is I + c (Jc)^T, so right-multiplying by
+    it is the rank-1 update col_j += (Jc)_j Mc for j in supp Jc, with
+    Mc = sum_i c_i col_i over i in supp c.  The supports are grouped by
+    coefficient once per distinct class, so a twist costs |supp c| +
+    |supp Jc| big-int additions and one multiplication per distinct
+    coefficient.
+
+    A bound beta_j >= max_i |M[i][j]| per column keeps the lanes exact:
+    Mc is bounded by sum |c_i| beta_i and each beta_j grows by |(Jc)_j|
+    times that.  Before a twist could push a bound past the cap 2^(W-2),
+    the involved columns are tightened by a range check or an exact decode,
+    and when the true entries come near the cap every column is re-encoded
+    into lanes of twice the width.
     """
     if not p.has_integer_classes():
         raise PreconditionError("some twist curve has no integer class")
     n = p.basis.dim
-    rows = [list(r) for r in IntMatrix.identity(n).rows]
+    lanes = _Lanes(n, _LANE_BITS)
+    cols = [1 << (lanes.width * j) for j in range(n)]
+    bound = [1] * n
+    col_at, bound_at = cols.__getitem__, bound.__getitem__
     supports: dict[tuple[int, ...], tuple] = {}
     for curve in p.twists:
         coords = curve.int_class.coords
-        if coords not in supports:
-            supports[coords] = (_nonzero(coords), _nonzero(pairing_vector(curve.int_class)))
-        c_support, jc_support = supports[coords]
-        for row in rows:
-            mult = sum([row[i] * a for i, a in c_support])
-            if mult:
-                for j, b in jc_support:
-                    row[j] += mult * b
-    return IntMatrix(tuple(tuple(r) for r in rows))
+        support = supports.get(coords)
+        if support is None:
+            support = supports[coords] = _int_supports(curve.int_class)
+        c_groups, jc_groups, jc_support, jc_max = support
+        mc_bound = _mc_bound(c_groups, bound_at)
+        if max(map(bound_at, jc_support), default=0) + jc_max * mc_bound > lanes.cap:
+            lanes, mc_bound = _make_room(lanes, cols, bound, support)
+        mc = 0
+        for a, idx in c_groups:
+            mc += a * sum(map(col_at, idx))
+        for b, idx in jc_groups:
+            step, rise = b * mc, abs(b) * mc_bound
+            for j in idx:
+                cols[j] += step
+                bound[j] += rise
+    return IntMatrix(tuple(zip(*map(lanes.decode, cols))))
 
 
-def _nonzero(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, a) for i, a in enumerate(v) if a)
+def _mc_bound(c_groups, bound_at) -> int:
+    """sum_i |c_i| beta_i, a bound on every entry of Mc."""
+    return sum(abs(a) * sum(map(bound_at, idx)) for a, idx in c_groups)
+
+
+def _make_room(lanes: _Lanes, cols: list[int], bound: list[int], support: tuple) -> tuple[_Lanes, int]:
+    """Tighten the columns one twist involves, then widen until its update fits under the cap.
+
+    Returns the lanes and the new bound on Mc.
+    """
+    c_groups, _, jc_support, jc_max = support
+    widen = lanes.tighten(cols, bound, [i for _, idx in c_groups for i in idx] + list(jc_support))
+    mc_bound = _mc_bound(c_groups, bound.__getitem__)
+    top = max(map(bound.__getitem__, jc_support), default=0) + jc_max * mc_bound
+    while widen or top > lanes.cap:
+        lanes, widen = lanes.widened(cols), False
+    return lanes, mc_bound
+
+
+def _int_supports(c: ClassInt) -> tuple:
+    """(c grouped by coefficient, Jc grouped by coefficient, supp Jc, max |Jc_j|)."""
+    jc_groups = _coefficient_groups(pairing_vector(c))
+    jc_support = tuple(j for _, idx in jc_groups for j in idx)
+    return _coefficient_groups(c.coords), jc_groups, jc_support, max((abs(b) for b, _ in jc_groups), default=0)
+
+
+def _coefficient_groups(v: Sequence[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero entries of v as (coefficient, indices holding it) pairs."""
+    groups: dict[int, list[int]] = {}
+    for i in compress(range(len(v)), v):
+        groups.setdefault(v[i], []).append(i)
+    return tuple((a, tuple(idx)) for a, idx in groups.items())
 
 
 def check_relation(p: PositiveFactorization) -> RelationCheck:

@@ -130,7 +130,14 @@ class ClassMod2:
         return not self.bits
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.basis.dim) if self.bits >> i & 1)
+        """Indices of the set bits, in increasing order; one step per set bit."""
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def sparse(self) -> str:
         if self.is_zero():

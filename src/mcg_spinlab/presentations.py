@@ -303,10 +303,19 @@ def korkmaz_relator_set(p, conjugator_curves: Sequence) -> list:
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
-# Presentation files whose prescribed-group fibration would have a larger fiber
-# genus are refused; at genus 65 the relation check and H1 take seconds and
+# Presentation files, the family commands, thm-b and script bases refuse a
+# larger fiber genus; at genus 65 the relation check and H1 take seconds and
 # tens of MiB.
 MAX_FIBER_GENUS = 65
+
+
+def check_fiber_genus(genus: int, message: str = "genus {} is above the limit {}") -> None:
+    """Refuse a fiber genus above ``MAX_FIBER_GENUS`` before anything is built.
+
+    ``message`` is formatted with the genus and the limit.
+    """
+    if genus > MAX_FIBER_GENUS:
+        raise PreconditionError(message.format(genus, MAX_FIBER_GENUS))
 
 
 def presentation_from_text(text: str) -> FinitePresentation:
@@ -366,8 +375,7 @@ def presentation_from_text(text: str) -> FinitePresentation:
     )
     letters = sum(abs(e) for rel in powers for _, e in rel)
     genus = fiber_genus(len(gens), letters, normalized)
-    if genus > MAX_FIBER_GENUS:
-        raise PreconditionError(f"presentation needs fiber genus {genus}, above the limit {MAX_FIBER_GENUS}")
+    check_fiber_genus(genus, "presentation needs fiber genus {}, above the limit {}")
     relators = tuple(
         tuple(letter for i, e in rel for letter in (i if e > 0 else -i,) * abs(e)) for rel in powers
     )

@@ -217,6 +217,20 @@ class TestRun:
         assert code == EXIT_PARSE
         assert "script error" in err
 
+    def test_basis_over_the_genus_limit(self, tmp_path, capsys):
+        # a basis is a declaration: refused as a parse error at its position
+        script = tmp_path / "big.spin"
+        script.write_text("basis g=5;\n  basis g=66; pencil S;")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == EXIT_PARSE and out == ""
+        assert err == "script error: 2:3: genus 66 is above the limit 65\n"
+
+    def test_basis_at_the_genus_limit(self, tmp_path, capsys):
+        script = tmp_path / "limit.spin"
+        script.write_text("basis g=65; pencil S;")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert (code, out, err) == (EXIT_OK, "", "")
+
     def test_unreadable_script_exit(self, tmp_path, capsys):
         script = tmp_path / "latin1.spin"
         script.write_bytes(b"basis g=1; # \xe9\n")

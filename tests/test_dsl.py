@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mcg_spinlab.dsl import ScriptError, parse_script, run_script
+from mcg_spinlab.homology import PreconditionError
 
 
 class TestParser:
@@ -120,3 +123,81 @@ class TestExecution:
     def test_basis_required_first(self):
         with pytest.raises(ScriptError, match="declare a basis"):
             run_script(parse_script("curve a = x1;"))
+
+
+# script fuzzing: near-valid statements over declared, undeclared and odd
+# names, genera up to 8, exponents up to 4 and oddly spelled integers, and
+# soups of the grammar's own tokens; a repeated choice is a likelier one, so
+# that about half of the near-valid scripts parse
+_ODD_INTS = st.sampled_from(["007", "-0", "+1", "1.5", "--1", "\u00b2", "\u0663", "9" * 5000])
+_INTS = st.one_of(st.integers(-4, 4).map(str), st.integers(0, 4).map(str), st.integers(1, 4).map(str), _ODD_INTS)
+_GENERA = st.one_of(st.integers(0, 8).map(str), st.integers(-1, 8).map(str), _ODD_INTS)
+_NAMES = st.sampled_from(
+    ["a", "b", "F", "G", "q", "S", "phi", "x1", "y2", "x*", "c'", "a-b", "power", "by", "_", "1a", "\u00e9"]
+)
+_SPARSE = st.lists(_NAMES, min_size=1, max_size=3).map("+".join)
+_VECTOR = st.lists(_INTS, max_size=5).map(lambda xs: "[" + ",".join(xs) + "]")
+_WORD_LETTER = st.builds(lambda n, e: n + e, _NAMES, st.sampled_from(["", "", "", "^1", "^-1", "^-1", "^2", "^"]))
+
+
+def _spaced(*parts):
+    return st.tuples(*parts).map(" ".join)
+
+
+def _many(part, max_size=4):
+    return st.lists(part, max_size=max_size).map(" ".join)
+
+
+_CURVE_VALUES = st.one_of(_SPARSE, _VECTOR, _spaced(_SPARSE, _VECTOR), st.just("0"), st.just("0 [0]"))
+_ENTRIES = _many(st.builds("{}^{}".format, _NAMES, _INTS) | _NAMES)
+_STATEMENTS = st.one_of(
+    _spaced(st.just("basis"), _GENERA.map("g={}".format), st.sampled_from(["", "labels ab", "labels xy", "labels"])),
+    _spaced(st.just("form"), _NAMES, st.just("="), _many(st.builds("{}:{}".format, _NAMES, _INTS))),
+    _spaced(st.just("curve"), _NAMES, st.just("="), _CURVE_VALUES),
+    _spaced(st.just("word"), _NAMES, st.just("="), _many(_WORD_LETTER)),
+    _spaced(st.just("factorization"), _NAMES, st.just("="), _ENTRIES, st.sampled_from(["power"] * 4 + ["by"]), _INTS),
+    _spaced(st.sampled_from(["pencil", "check-relation", "h1", "check_relation"]), _NAMES),
+    _spaced(st.just("conjugate"), _NAMES, st.just("="), _NAMES, st.sampled_from(["by", "by", "with"]), _NAMES),
+    _spaced(st.just("fibersum"), _NAMES, st.just("="), _NAMES, _NAMES, st.sampled_from(["", "by a", "by a", "by"])),
+    _spaced(st.sampled_from(["hurwitz", "breed"]), _NAMES, st.just("="), _NAMES, st.just("at"), _INTS,
+            st.sampled_from(["left", "right", "with S", "up"])),
+    _spaced(st.sampled_from(["check", "check-spin"]), _NAMES, _NAMES),
+    _spaced(st.just("invariants"), _NAMES, st.sampled_from(["sigma=endo", "sigma=meyer", "sigma=paper", "sigma"])),
+)
+_TOKENS = st.one_of(
+    _NAMES,
+    _INTS,
+    st.sampled_from(["basis", "g", "labels", "curve", "word", "check-spin", "sigma", "#", "\n", "-", "*", "'", "!"]),
+    st.sampled_from(list(";=:,[]^+")),
+)
+
+
+@st.composite
+def _scripts(draw):
+    ends = st.sampled_from([";", "; ", ";\n", " ;\n", "; # note\n", ";;", ""])
+    return "".join(statement + draw(ends) for statement in draw(st.lists(_STATEMENTS, max_size=4)))
+
+
+def _round_trips_or_refuses(text):
+    try:
+        canon = parse_script(text).canonical()
+    except (ScriptError, PreconditionError):
+        return
+    assert parse_script(canon).canonical() == canon
+
+
+class TestScriptFuzz:
+    @given(_scripts())
+    def test_near_valid_scripts(self, text):
+        _round_trips_or_refuses(text)
+
+    @given(st.lists(_TOKENS, max_size=25), st.sampled_from(["", " ", "\n"]))
+    def test_token_soups(self, tokens, space):
+        _round_trips_or_refuses(space.join(tokens))
+
+    @pytest.mark.parametrize("text", ["basis g=\u00b2;", "basis g=" + "9" * 5000 + ";", "check_relation F;"])
+    def test_refused_spellings(self, text):
+        # characters int() rejects, integers too long to convert, and '_'
+        # spellings of statement names are parse errors
+        with pytest.raises(ScriptError):
+            parse_script(text)

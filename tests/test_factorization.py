@@ -2,6 +2,7 @@ import pytest
 
 from mcg_spinlab.factorization import (
     Curve,
+    _Lanes,
     PositiveFactorization,
     RelationCheck,
     SubsurfaceImage,
@@ -29,6 +30,7 @@ from mcg_spinlab.homology import (
     intersect,
     transvection_matrix,
 )
+from mcg_spinlab.presentations import presentation_from_text
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
@@ -36,6 +38,7 @@ from mcg_spinlab.constructions import (
     hyperelliptic_factorizations,
     korkmaz_cadavid,
     pencil_images,
+    spin_fibration_with_group,
     spin_form_all_ones,
     spin_form_alternating,
     subsurface_boundary,
@@ -44,6 +47,7 @@ from mcg_spinlab.constructions import (
 
 from .conftest import make_rng
 from .helpers import random_int_class
+from .oracles import row_product_int, row_product_mod2
 
 
 def random_factorization(rng, g=None, length=None):
@@ -252,6 +256,33 @@ class TestCheckRelation:
         assert not r.mod2 and r.integral is False
 
 
+def _word(basis, classes):
+    return PositiveFactorization(
+        basis, tuple(Curve(f"c{i}", cls.mod2(), cls, nonseparating=False) for i, cls in enumerate(classes)), 0
+    )
+
+
+def _random_word(rng, genus, bound, length):
+    basis = SurfaceBasis(genus)
+    pool = []
+    while len(pool) < rng.randint(1, 4):
+        cls = random_int_class(rng, basis, bound)
+        if not cls.is_zero():
+            pool.append(cls)
+    return _word(basis, [rng.choice(pool) for _ in range(length)])
+
+
+def _growth_word(reps):
+    # (t_a^3 t_b^3)^reps at genus 3, with a . b = 1: entries grow geometrically
+    basis = SurfaceBasis(3)
+    a, b = basis.unit_int(basis.x_index(1)), basis.unit_int(basis.y_index(1))
+    return _word(basis, ([a] * 3 + [b] * 3) * reps)
+
+
+def _entry_bits(m):
+    return max(abs(e).bit_length() for row in m.rows for e in row)
+
+
 class TestProductMatrixInt:
     def test_against_dense_product(self):
         # seeded words that are not relations, with repeated letters and
@@ -277,6 +308,114 @@ class TestProductMatrixInt:
             repeated += len(set(word)) < len(word)
             largest = max([largest] + [abs(a) for cls in word for a in cls.coords])
         assert repeated and largest == 3
+
+    def test_genus_33_reference_word(self):
+        # thm-a on <x0,x1,x2 | x0^2, x1^2, x2^2, [x0,x1]>: 3952 twists at dim 66
+        text = "gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;"
+        p, _ = spin_fibration_with_group(presentation_from_text(text))
+        assert (len(p), p.basis.dim) == (3952, 66)
+        product = product_matrix_int(p)
+        assert product == row_product_int(p)
+        assert product.is_identity()
+        truncated = PositiveFactorization(p.basis, p.twists[:2500], 0)
+        assert product_matrix_int(truncated) == row_product_int(truncated)
+
+    @pytest.mark.parametrize("reps, bits", [(60, 167), (120, 334)])
+    def test_growth_words(self, reps, bits):
+        # entries far beyond 64-bit lanes: 167 bits need the lanes widened
+        # twice (to 256 bits), 334 bits three times (to 512 bits)
+        p = _growth_word(reps)
+        product = product_matrix_int(p)
+        assert _entry_bits(product) == bits
+        assert product == row_product_int(p)
+        dense = IntMatrix.identity(6)
+        for curve in p.twists:
+            dense = dense @ transvection_matrix(curve.int_class)
+        assert product == dense
+
+    def test_random_words_with_large_coefficients(self):
+        # negative and large coefficients, long enough words to pass every
+        # lane bound; the seeds cover both range-checked and decoded columns
+        rng = make_rng(71)
+        widest = 0
+        for bound in (1, 3, 50, 10**6):
+            for _ in range(25):
+                p = _random_word(rng, rng.randint(1, 6), bound, rng.randint(1, 60))
+                product = product_matrix_int(p)
+                assert product == row_product_int(p)
+                widest = max(widest, _entry_bits(product))
+        assert widest > 512
+
+    def test_entries_at_every_lane_boundary(self):
+        # c = k x1 and d = k y1 at genus 1 give entries of k^2 and k^4 with
+        # bounds that are exact, so sweeping k over the powers of two puts
+        # entries just below and just above every lane width in turn
+        basis = SurfaceBasis(1)
+        for e in range(1, 80):
+            for k in (2**e - 1, 2**e + 1, -(2**e)):
+                c, d = ClassInt(basis, (k, 0)), ClassInt(basis, (0, k))
+                for word in ([c], [c, d], [c, d, c], [d, c, c, d]):
+                    p = _word(basis, word)
+                    assert product_matrix_int(p) == row_product_int(p)
+
+    def test_zero_class_is_an_identity_factor(self):
+        basis = SurfaceBasis(2)
+        zero, a = basis.zero_int(), basis.unit_int(basis.x_index(1))
+        p = _word(basis, [a, zero, a, zero])
+        assert product_matrix_int(p) == row_product_int(p) == product_matrix_int(_word(basis, [a, a]))
+        assert product_matrix_mod2(p) == row_product_mod2(p)
+
+    def test_needs_integer_classes(self):
+        basis = SurfaceBasis(2)
+        mod2_only = Curve("m", ClassMod2.parse(basis, "x1+y2"))
+        p = PositiveFactorization(basis, (chain_curves(2)[0], mod2_only), 0)
+        with pytest.raises(PreconditionError, match="no integer class"):
+            product_matrix_int(p)
+        assert product_matrix_mod2(p) == row_product_mod2(p)
+
+
+class TestPackedLanes:
+    # the column format under product_matrix_int, checked on its own
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_range_check_decode_and_widen(self, width):
+        lanes = _Lanes(3, width)
+        edge = 2 ** (width - 2)
+        columns = [
+            [0, 0, 0], [255, -256, 1], [256, 0, 0], [0, -257, 0], [300, 0, 0], [-200, 0, 1],
+            [300, 5, -700], [0, 0, 2**9 + 1], [edge, -edge, edge - 1], [-1, -1, -1],
+        ]
+        for entries in columns:
+            col = lanes.encode(entries)
+            assert col == sum(e << (width * i) for i, e in enumerate(entries))
+            assert lanes.decode(col) == entries
+            bound = [edge]
+            widen = lanes.tighten([col], bound, [0])
+            top = max(map(abs, entries))
+            # a passing range check gives 2^8, a failing one the exact maximum
+            assert bound == [256 if -256 <= min(entries) and max(entries) < 256 else top]
+            assert widen == (bound[0] > edge >> 8)
+            cols = [col]
+            wide = lanes.widened(cols)
+            assert wide.width == 2 * width and wide.decode(cols[0]) == entries
+
+
+class TestProductMatrixMod2:
+    def test_reduces_the_integer_product(self):
+        rng = make_rng(72)
+        words = [_growth_word(20), korkmaz_cadavid(5), hyperelliptic_factorizations(5)[1]]
+        words += [_random_word(rng, rng.randint(1, 6), 3, rng.randint(1, 40)) for _ in range(60)]
+        for p in words:
+            assert product_matrix_mod2(p) == product_matrix_int(p).mod2() == row_product_mod2(p)
+
+    def test_bred_words(self):
+        # bred words carry mod-2 classes only: the row oracle is the reference
+        for g, k in ((5, 1), (5, 3), (7, 16), (9, 2)):
+            p, _ = bred_fibration(g, k, certify=False)
+            assert not p.has_integer_classes()
+            assert product_matrix_mod2(p) == row_product_mod2(p)
+            truncated = PositiveFactorization(p.basis, p.twists[: len(p) // 2 + 1], 0)
+            product = product_matrix_mod2(truncated)
+            assert product == row_product_mod2(truncated) and not product.is_identity()
 
 
 class TestCheckSpin:
