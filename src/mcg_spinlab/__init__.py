@@ -60,7 +60,6 @@ from .presentations import (
     cokernel,
     fibration_h1,
     is_normalized,
-    korkmaz_relator_set,
     normalize_presentation,
     presentation_from_text,
     presentation_to_text,
@@ -68,12 +67,10 @@ from .presentations import (
 )
 from .constructions import (
     BredCertificate,
-    CurveCatalog,
     GroupCertificate,
     boundary_conjugators,
     bred_fibration,
     chain_curves,
-    curve_catalog,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
     pencil_images,

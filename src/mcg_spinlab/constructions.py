@@ -88,7 +88,7 @@ def chain_curves(g: int) -> tuple[Curve, ...]:
             coords[basis.y_index(i)] = 1
             coords[basis.y_index(i + 1)] = -1
         cls = ClassInt(basis, tuple(coords))
-        curves.append(Curve(f"c{k}", cls.mod2(), cls))
+        curves.append(Curve(f"c{k}", cls))
     for a, b in zip(curves, curves[1:]):
         if intersect(a.int_class, b.int_class) != 1:
             raise AssertionError("chain catalog: consecutive intersection is not +1")
@@ -119,7 +119,7 @@ def korkmaz_cadavid(g: int) -> PositiveFactorization:
 
     curves: list[Curve] = []
     b0 = cl({f"b{i}": 1 for i in range(1, g + 1)})
-    curves.append(Curve("B0", b0.mod2(), b0))
+    curves.append(Curve("B0", b0))
     for m in range(1, g + 1):
         if m % 2 == 1:
             k = (m + 1) // 2
@@ -132,10 +132,10 @@ def korkmaz_cadavid(g: int) -> PositiveFactorization:
             coeffs[f"a{k}"] = coeffs.get(f"a{k}", 0) + 1
             coeffs[f"a{g + 1 - k}"] = coeffs.get(f"a{g + 1 - k}", 0) + 1
         cls = cl(coeffs)
-        curves.append(Curve(f"B{m}", cls.mod2(), cls))
+        curves.append(Curve(f"B{m}", cls))
     mid = cl({f"a{n + 1}": 1})
-    curve_a = Curve("a", mid.mod2(), mid)
-    curve_b = Curve("b", mid.mod2(), mid)
+    curve_a = Curve("a", mid)
+    curve_b = Curve("b", mid)
     half = tuple(curves) + (curve_a, curve_a, curve_b, curve_b)
     return PositiveFactorization(
         basis, half + half, 1, (f"korkmaz-cadavid building block g={g}",)
@@ -192,8 +192,8 @@ def boundary_conjugators(g: int) -> tuple[TwistWord, TwistWord]:
     basis = c[0].basis
     a_cls = basis.unit_int(basis.y_index(3))
     d_cls = basis.unit_int(basis.y_index(5))
-    curve_a = Curve("a", a_cls.mod2(), a_cls)
-    curve_d = Curve("d", d_cls.mod2(), d_cls)
+    curve_a = Curve("a", a_cls)
+    curve_d = Curve("d", d_cls)
 
     w_ab_letters: list[tuple[Curve, int]] = [(c[7], 1), (c[6], 1), (c[5], 1), (curve_a, 1)]
     for start in (5, 4, 3, 2, 1):
@@ -279,7 +279,7 @@ def twisted_double(g: int) -> PositiveFactorization:
         for r in range(reps):
             idx = start + slot * reps + r
             old = relabeled[idx]
-            if old.mod2 != canonical.mod2 or old.int_class != canonical.int_class:
+            if old.hclass != canonical.hclass:
                 raise AssertionError("twisted double: power block entry does not match boundary curve")
             relabeled[idx] = canonical
     p = PositiveFactorization(
@@ -288,37 +288,6 @@ def twisted_double(g: int) -> PositiveFactorization:
     order = [slot * reps + r for r in range(reps) for slot in range(4)]
     return commuting_block_permute(p, start, end, order).with_note(
         f"twisted double g={g} in boundary block form"
-    )
-
-
-@dataclass(frozen=True)
-class CurveCatalog:
-    """All named curve families at one genus, rebuilt and cross-checked.
-
-    The chain, pencil image and conjugators live over the x/y basis; the
-    building-block curves use the a/b display scheme of their own word.
-    """
-
-    genus: int
-    chain: tuple[Curve, ...]
-    building_block: tuple[Curve, ...]
-    pencil: SubsurfaceImage
-    conjugators: tuple[TwistWord, TwistWord]
-
-
-def curve_catalog(g: int) -> CurveCatalog:
-    """Assemble the full catalog (odd g >= 5; every constructor self-checks)."""
-    block = korkmaz_cadavid(g)
-    distinct: list[Curve] = []
-    for cur in block.twists:
-        if cur not in distinct:
-            distinct.append(cur)
-    return CurveCatalog(
-        genus=g,
-        chain=chain_curves(g),
-        building_block=tuple(distinct),
-        pencil=pencil_images(g),
-        conjugators=boundary_conjugators(g),
     )
 
 
@@ -484,7 +453,7 @@ def relator_curves(normalized: FinitePresentation, basis: SurfaceBasis) -> list[
         if form(cls.mod2()) == 0:
             cls = cls + basis.unit_int(basis.x_index(n + 1))
             label = f"R{j}'"
-        out.append(Curve(label, cls.mod2(), cls))
+        out.append(Curve(label, cls))
     return out
 
 
@@ -512,7 +481,7 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     conjugators: list[Curve] = []
     for i in range(1, g + 1):
         a_i = basis.unit_int(basis.x_index(i))
-        conjugators.append(Curve(f"a{i}", a_i.mod2(), a_i))
+        conjugators.append(Curve(f"a{i}", a_i))
     for curve in conjugators + relator_curves(normalized, basis):
         p = fiber_sum(p, block, TwistWord.of(curve))
     if len(normalized.relators) % 2 == 1:

@@ -7,9 +7,9 @@ Grammar (statements end with ';', names must be declared before use):
     form q = x*:1 y1:1 y3:1;
     curve a = y3;                    sparse mod-2 class
     curve v = [0,1,0,-1,0,0];        integer class, mod-2 derived
-    curve w = x1+y2 [1,0,...];       both (checked for consistency)
+    curve w = x1+y2 [1,0,...];       integer class, sparse form checked against it
     word phi = c1 c2^-1 a;           twists, rightmost acts first on classes
-    factorization F = c1^3 a power 1;
+    factorization F = c1^3 a power 1; at most _MAX_ENTRIES entries
     pencil S;                        the standard genus-2 pencil image catalog
     conjugate G = F by phi;
     fibersum H = F G [by phi];
@@ -62,6 +62,9 @@ class Token:
 
 
 _PUNCT = set(";=:,[]^")
+# Entries a factorization declaration may spell out; at genus 65 a relation
+# check on this many twists of sparse classes takes under a second.
+_MAX_ENTRIES = 10_000
 # ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
 _DIGITS = frozenset("0123456789")
 
@@ -293,6 +296,7 @@ class _Parser:
         name = self.next("name").text
         self.next("punct", "=")
         entries = []
+        total = 0
         while not self.at_text("power"):
             ref = self.next("name")
             rep = 1
@@ -301,6 +305,9 @@ class _Parser:
                 rep = self.next_int()
                 if rep < 1:
                     raise ScriptError("entry exponents must be positive", ref.line, ref.column)
+            total += rep
+            if total > _MAX_ENTRIES:
+                raise ScriptError(f"factorization has more than {_MAX_ENTRIES} entries", ref.line, ref.column)
             entries.append((ref.text, rep))
         self.next("name", "power")
         power = self.next_int()
@@ -481,19 +488,17 @@ def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
         return
     if s.kind == "curve":
         name, sparse, coords = a
-        int_class = None
         if coords is not None:
             if len(coords) != basis.dim:
                 raise ScriptError(
                     f"integer vector has length {len(coords)}, basis dimension is {basis.dim}",
                     s.line, s.column)
-            int_class = ClassInt(basis, coords)
-            mod2 = int_class.mod2()
-            if sparse is not None and ClassMod2.parse(basis, sparse) != mod2:
+            hclass = ClassInt(basis, coords)
+            if sparse is not None and ClassMod2.parse(basis, sparse) != hclass.mod2():
                 raise ScriptError("sparse class does not match the integer vector mod 2", s.line, s.column)
         else:
-            mod2 = ClassMod2.parse(basis, sparse)
-        env.curves[name] = Curve(name, mod2, int_class)
+            hclass = ClassMod2.parse(basis, sparse)
+        env.curves[name] = Curve(name, hclass)
         return
     if s.kind == "word":
         letters = tuple((_need(env.curves, ref, "curve", s), e) for ref, e in a[1])

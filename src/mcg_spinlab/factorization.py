@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .homology import (
     ClassInt,
@@ -31,33 +31,36 @@ PENCIL_ORDER = ("B0", "B1", "B2", "C", "C'", "B2'", "B1'", "B0'")
 
 @dataclass(frozen=True)
 class Curve:
-    """A simple closed curve seen through its homology classes.
+    """A simple closed curve seen through its one homology class.
 
-    Curves compare by (label, mod2, int_class); labels are for certificates
-    only.  ``int_class`` is optional since some catalog curves are only known
-    mod 2.
+    ``hclass`` is the ``ClassInt`` when the integer class is known, else the
+    ``ClassMod2`` (some catalog curves are only known mod 2).  The views
+    ``mod2`` (the reduction of an integer class) and ``int_class`` (None for
+    a mod-2 curve) are derived once here and left out of comparisons, so
+    curves compare by (label, hclass, nonseparating); labels are for
+    certificates only.
     """
 
     label: str
-    mod2: ClassMod2
-    int_class: Optional[ClassInt] = None
+    hclass: Union[ClassInt, ClassMod2]
     nonseparating: bool = True
+    mod2: ClassMod2 = field(init=False, repr=False, compare=False)
+    int_class: Optional[ClassInt] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.int_class is not None:
-            if self.int_class.basis != self.mod2.basis:
-                raise PreconditionError(f"curve {self.label}: class bases disagree")
-            if self.int_class.mod2() != self.mod2:
-                raise PreconditionError(f"curve {self.label}: integer class does not reduce to mod-2 class")
-        if self.nonseparating and self.mod2.is_zero():
+        int_class = self.hclass if isinstance(self.hclass, ClassInt) else None
+        mod2 = self.hclass if int_class is None else int_class.mod2()
+        object.__setattr__(self, "int_class", int_class)
+        object.__setattr__(self, "mod2", mod2)
+        if self.nonseparating and mod2.is_zero():
             raise PreconditionError(f"curve {self.label}: nonseparating curve with zero mod-2 class")
 
     @property
     def basis(self) -> SurfaceBasis:
-        return self.mod2.basis
+        return self.hclass.basis
 
     def relabeled(self, label: str) -> "Curve":
-        return Curve(label, self.mod2, self.int_class, self.nonseparating)
+        return Curve(label, self.hclass, self.nonseparating)
 
 
 def _twist_label(conj_label: str, target_label: str, exponent: int) -> str:
@@ -130,17 +133,21 @@ def apply_word(word: TwistWord, v):
 
 
 def word_image(word: TwistWord, curve: Curve) -> Curve:
-    """Image of a curve under a twist word, labeled ``name(label)``."""
-    mod2 = apply_word(word, curve.mod2)
-    int_class = None
-    if curve.int_class is not None and all(c.int_class is not None for c, _ in word.letters):
-        int_class = apply_word(word, curve.int_class)
+    """Image of a curve under a twist word, labeled ``name(label)``.
+
+    The word is applied once: to the integer class when the curve and every
+    letter have one, otherwise to the mod-2 class.
+    """
     if not word.letters:
         return curve
+    hclass = curve.hclass
+    if curve.int_class is not None and any(c.int_class is None for c, _ in word.letters):
+        hclass = curve.mod2
+    hclass = apply_word(word, hclass)
     if len(word.letters) == 1:
         c, e = word.letters[0]
-        return Curve(_twist_label(c.label, curve.label, e), mod2, int_class, curve.nonseparating)
-    return Curve(f"{word.display_name}({curve.label})", mod2, int_class, curve.nonseparating)
+        return Curve(_twist_label(c.label, curve.label, e), hclass, curve.nonseparating)
+    return Curve(f"{word.display_name}({curve.label})", hclass, curve.nonseparating)
 
 
 @dataclass(frozen=True)
@@ -302,8 +309,9 @@ def commuting_block_permute(
     """Permute twists[start:end] by ``order`` (indices into the block).
 
     Requires every pair of distinct curve classes in the block to intersect
-    trivially, so the permutation is a sequence of commuting swaps and the
-    product mapping class is preserved.
+    trivially (over Z when both are integer classes, else mod 2), so the
+    permutation is a sequence of commuting swaps and the product mapping
+    class is preserved.
     """
     if not (0 <= start <= end <= len(p.twists)):
         raise PreconditionError("block out of range")
@@ -312,15 +320,16 @@ def commuting_block_permute(
         raise PreconditionError("order must be a permutation of the block")
     distinct: list[Curve] = []
     for c in block:
-        if all(c.mod2 != d.mod2 for d in distinct):
+        if all(c.hclass != d.hclass for d in distinct):
             distinct.append(c)
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            if intersect(distinct[i].mod2, distinct[j].mod2) != 0:
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1:]:
+            if a.int_class is not None and b.int_class is not None:
+                crossing = intersect(a.int_class, b.int_class)
+            else:
+                crossing = intersect(a.mod2, b.mod2)
+            if crossing != 0:
                 raise PreconditionError("block curves do not commute")
-            a, b = distinct[i].int_class, distinct[j].int_class
-            if a is not None and b is not None and intersect(a, b) != 0:
-                raise PreconditionError("block curves do not commute over Z")
     twists = p.twists[:start] + tuple(block[i] for i in order) + p.twists[end:]
     note = f"permuted commuting block [{start}:{end}]"
     return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
@@ -573,11 +582,12 @@ def factorization_from_dict(d: dict) -> PositiveFactorization:
     basis = SurfaceBasis(int(d["genus"]), d.get("labels", "xy"))
     twists = []
     for t in d["twists"]:
-        mod2 = ClassMod2.parse(basis, t["mod2"])
-        int_class = None
+        mod2 = hclass = ClassMod2.parse(basis, t["mod2"])
         if t.get("int") is not None:
-            int_class = ClassInt(basis, tuple(int(a) for a in t["int"]))
-        twists.append(Curve(t["label"], mod2, int_class))
+            hclass = ClassInt(basis, tuple(int(a) for a in t["int"]))
+            if hclass.mod2() != mod2:
+                raise PreconditionError(f"curve {t['label']}: integer class does not reduce to mod-2 class")
+        twists.append(Curve(t["label"], hclass))
     return PositiveFactorization(
         basis, tuple(twists), int(d["boundary_power"]), tuple(d.get("provenance", ()))
     )

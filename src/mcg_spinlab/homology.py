@@ -181,7 +181,7 @@ class ClassInt:
         return not any(self.coords)
 
     def mod2(self) -> ClassMod2:
-        return ClassMod2(self.basis, sum((a & 1) << i for i, a in enumerate(self.coords)))
+        return ClassMod2(self.basis, sum(1 << i for i, a in enumerate(self.coords) if a & 1))
 
 
 def intersect(u, v) -> int:

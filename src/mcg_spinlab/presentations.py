@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .homology import PreconditionError, intersect, mod2_rank
+from .homology import PreconditionError, mod2_rank
 
 
 @dataclass(frozen=True)
@@ -278,24 +278,6 @@ def fibration_h1(p) -> H1Result:
         return H1Result("Z", group=cokernel(rows, n))
     bits = sorted({c.mod2.bits for c in p.twists})
     return H1Result("Z/2", mod2_dimension=n - mod2_rank(bits))
-
-
-def korkmaz_relator_set(p, conjugator_curves: Sequence) -> list:
-    """Normal generator surrogate for iterated single-twist fiber sums.
-
-    For the fibration of p p^(t_d1) ... the vanishing-cycle span is generated
-    by the classes of p together with the conjugator curves, provided each
-    conjugator meets some cycle of p once mod 2 (the homological certificate
-    of the one-point transversal intersection hypothesis).
-    """
-    for d in conjugator_curves:
-        if all(intersect(d.mod2, c.mod2) == 0 for c in p.twists):
-            raise PreconditionError(
-                f"conjugator {d.label} has zero mod-2 intersection with every twist curve"
-            )
-    out = [c.int_class if c.int_class is not None else c.mod2 for c in p.twists]
-    out.extend(d.int_class if d.int_class is not None else d.mod2 for d in conjugator_curves)
-    return out
 
 
 # --- text format ----------------------------------------------------------------

@@ -49,7 +49,7 @@ def hurwitz_products_invariant(rng, cases: int) -> int:
         twists = []
         for i in range(rng.randint(2, 7)):
             cls = random_int_class(rng, basis, odd=True)
-            twists.append(Curve(f"t{i}", cls.mod2(), cls))
+            twists.append(Curve(f"t{i}", cls))
         p = PositiveFactorization(basis, tuple(twists), 0)
         q = hurwitz_move(p, rng.randrange(len(twists) - 1), rng.choice(("left", "right")))
         assert product_matrix_mod2(q) == product_matrix_mod2(p)

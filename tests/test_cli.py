@@ -5,6 +5,7 @@ import pytest
 
 from mcg_spinlab import __version__
 from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
+from mcg_spinlab.dsl import _MAX_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,30 @@ class TestRun:
         script.write_text("basis g=65; pencil S;")
         code, out, err = run_cli(capsys, "run", str(script))
         assert (code, out, err) == (EXIT_OK, "", "")
+
+    def test_inconsistent_curve_exit(self, tmp_path, capsys):
+        script = tmp_path / "bad.spin"
+        script.write_text("basis g=1; curve w = x1 [0,1];")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == EXIT_PARSE and out == ""
+        assert err == "script error: 1:12: sparse class does not match the integer vector mod 2\n"
+
+    @pytest.mark.parametrize("exponent", ["100000000000000000000", str(_MAX_ENTRIES)])
+    def test_entry_count_over_the_limit(self, tmp_path, capsys, exponent):
+        script = tmp_path / "big.spin"
+        script.write_text(f"basis g=1; curve a = x1;\nfactorization F = a a^{exponent} power 0;")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"script error: 2:21: factorization has more than {_MAX_ENTRIES} entries\n"
+
+    def test_entry_count_at_the_limit(self, tmp_path, capsys):
+        script = tmp_path / "limit.spin"
+        script.write_text(
+            f"basis g=1; form q = x*:1; curve a = [1,0];\nfactorization F = a a^{_MAX_ENTRIES - 1} power 0; check-spin F q;"
+        )
+        code, out, err = run_cli(capsys, "run", str(script), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(json.loads(out)["results"]["entries"]) == _MAX_ENTRIES
 
     def test_unreadable_script_exit(self, tmp_path, capsys):
         script = tmp_path / "latin1.spin"

@@ -187,18 +187,6 @@ class TestChainCoverFastPath:
         assert cert.chain_cover_fast_path == all(c.mod2 in have for c in u.twists)
 
 
-class TestCurveCatalog:
-    def test_bundle(self):
-        from mcg_spinlab.constructions import curve_catalog
-
-        cat = curve_catalog(5)
-        assert len(cat.chain) == 11
-        # B0..B5, a, b
-        assert [c.label for c in cat.building_block] == [f"B{i}" for i in range(6)] + ["a", "b"]
-        assert cat.pencil.interior_by_label["C"].mod2.sparse() == "y3"
-        assert cat.conjugators[0].name == "w_ab"
-
-
 class TestBredMonotonicity:
     def test_certificate_steps(self):
         g = 5
@@ -249,7 +237,7 @@ class TestConjugationInvariance:
         p = korkmaz_cadavid(5)
         q = spin_form_all_ones(p.basis)
         a2 = p.basis.unit_int(1)
-        w = TwistWord.of(Curve("a2", a2.mod2(), a2))
+        w = TwistWord.of(Curve("a2", a2))
         assert q(a2.mod2()) == 1
         conj = conjugate(p, w)
         assert check_relation(conj).mod2 == check_relation(p).mod2 is True

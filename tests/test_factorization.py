@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from mcg_spinlab.factorization import (
@@ -20,6 +22,7 @@ from mcg_spinlab.factorization import (
     hurwitz_move,
     product_matrix_int,
     product_matrix_mod2,
+    word_image,
 )
 from mcg_spinlab.homology import (
     ClassInt,
@@ -57,7 +60,7 @@ def random_factorization(rng, g=None, length=None):
     twists = []
     for i in range(length):
         cls = random_int_class(rng, basis, odd=True)
-        twists.append(Curve(f"r{i}", cls.mod2(), cls))
+        twists.append(Curve(f"r{i}", cls))
     return PositiveFactorization(basis, tuple(twists), rng.randint(0, 3))
 
 
@@ -90,6 +93,50 @@ class TestApplyWord:
             assert apply_word(w_ab.inverse(), apply_word(w_ab, v)) == v
 
 
+class TestWordImage:
+    """One transport per word: the integer class when every class has one."""
+
+    @staticmethod
+    def random_word(rng, basis, length):
+        letters = tuple(
+            (Curve(f"w{i}", random_int_class(rng, basis, bound=2, odd=True)), rng.choice((1, -1)))
+            for i in range(length)
+        )
+        return TwistWord(letters)
+
+    def test_mod2_view_matches_mod2_transport(self):
+        rng = make_rng(110)
+        for _ in range(60):
+            basis = SurfaceBasis(rng.randint(1, 4))
+            word = self.random_word(rng, basis, rng.randint(1, 6))
+            curve = Curve("c", random_int_class(rng, basis, odd=True))
+            image = word_image(word, curve)
+            assert image.int_class == apply_word(word, curve.int_class)
+            # apply_word on the mod-2 class is the oracle for the derived view
+            assert image.mod2 == apply_word(word, curve.mod2)
+
+    def test_mod2_letter_gives_mod2_curve(self):
+        rng = make_rng(111)
+        for _ in range(30):
+            basis = SurfaceBasis(rng.randint(1, 4))
+            word = self.random_word(rng, basis, rng.randint(1, 5))
+            letters = list(word.letters)
+            at = rng.randrange(len(letters) + 1)
+            letters.insert(at, (Curve("m", random_int_class(rng, basis, odd=True).mod2()), rng.choice((1, -1))))
+            word = TwistWord(tuple(letters))
+            curve = Curve("c", random_int_class(rng, basis, odd=True))
+            image = word_image(word, curve)
+            assert image.int_class is None and image.hclass == image.mod2
+            assert image.mod2 == apply_word(word, curve.mod2)
+
+    def test_mod2_curve_stays_mod2(self):
+        ch = chain_curves(2)
+        curve = Curve("m", ch[0].mod2)
+        image = word_image(TwistWord.of(ch[1]), curve)
+        assert image.int_class is None
+        assert image.mod2 == apply_word(TwistWord.of(ch[1]), ch[0].mod2)
+
+
 class TestConjugate:
     def test_identity_word_is_noop(self):
         p = korkmaz_cadavid(3)
@@ -98,7 +145,7 @@ class TestConjugate:
     def test_preserves_length_and_power(self):
         p = korkmaz_cadavid(5)
         a1 = p.basis.unit_int(0)
-        w = TwistWord.of(Curve("a1", a1.mod2(), a1))
+        w = TwistWord.of(Curve("a1", a1))
         q = conjugate(p, w)
         assert len(q) == len(p)
         assert q.boundary_power == p.boundary_power
@@ -108,7 +155,7 @@ class TestConjugate:
         q = spin_form_all_ones(p.basis)
         a1 = p.basis.unit_int(0)
         assert q(a1.mod2()) == 1
-        conj = conjugate(p, TwistWord.of(Curve("a1", a1.mod2(), a1)))
+        conj = conjugate(p, TwistWord.of(Curve("a1", a1)))
         assert all(q(c.mod2) == 1 for c in conj.twists)
 
     def test_rotation_has_same_q_multiset(self):
@@ -215,6 +262,14 @@ class TestCommutingBlock:
         with pytest.raises(PreconditionError):
             commuting_block_permute(p, 0, 3, [2, 1, 0])
 
+    def test_rejects_integer_crossing_with_equal_mod2_classes(self):
+        # x1 and x1+2y1 agree mod 2 but meet twice over Z; swapping them
+        # would change the integer product from ((-1,0),(4,-1)) to ((3,-4),(4,-5))
+        b = SurfaceBasis(1)
+        p = PositiveFactorization(b, (Curve("a", ClassInt(b, (1, 0))), Curve("b", ClassInt(b, (1, 2)))), 0)
+        with pytest.raises(PreconditionError, match="do not commute"):
+            commuting_block_permute(p, 0, 2, [1, 0])
+
     def test_preserves_products_on_disjoint_block(self):
         g = 5
         a, b, cc, d = subsurface_boundary(g)
@@ -245,7 +300,7 @@ class TestCheckRelation:
 
     def test_square_twist_is_relation_mod2_only(self):
         b = SurfaceBasis(1)
-        c = Curve("c", ClassMod2.parse(b, "x1"), ClassInt(b, (1, 0)))
+        c = Curve("c", ClassInt(b, (1, 0)))
         p = PositiveFactorization(b, (c, c), 0)
         assert check_relation(p) == RelationCheck(mod2=True, integral=False)
 
@@ -258,7 +313,7 @@ class TestCheckRelation:
 
 def _word(basis, classes):
     return PositiveFactorization(
-        basis, tuple(Curve(f"c{i}", cls.mod2(), cls, nonseparating=False) for i, cls in enumerate(classes)), 0
+        basis, tuple(Curve(f"c{i}", cls, nonseparating=False) for i, cls in enumerate(classes)), 0
     )
 
 
@@ -298,7 +353,7 @@ class TestProductMatrixInt:
                     pool.append(cls)
             word = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
             twists = tuple(
-                Curve(f"c{i}", cls.mod2(), cls, nonseparating=False) for i, cls in enumerate(word)
+                Curve(f"c{i}", cls, nonseparating=False) for i, cls in enumerate(word)
             )
             dense = IntMatrix.identity(basis.dim)
             for cls in word:
@@ -464,12 +519,28 @@ class TestDeterminism:
         assert first == second
         assert first.provenance == second.provenance
 
+    def test_from_dict_rejects_int_that_does_not_reduce(self):
+        d = {"genus": 1, "boundary_power": 0, "twists": [{"label": "c", "mod2": "x1", "int": [0, 1]}]}
+        with pytest.raises(PreconditionError, match="does not reduce"):
+            factorization_from_dict(d)
+        d["twists"][0]["int"] = [3, 2]
+        assert factorization_from_dict(d).twists[0].int_class == ClassInt(SurfaceBasis(1), (3, 2))
+
     def test_json_round_trip(self):
-        for p in (korkmaz_cadavid(3), bred_fibration(5, 2, certify=False)[0]):
+        words = (
+            korkmaz_cadavid(3),
+            korkmaz_cadavid(5),
+            *hyperelliptic_factorizations(5),
+            twisted_double(5),
+            bred_fibration(5, 2, certify=False)[0],
+            bred_fibration(5, 6, certify=False)[0],
+        )
+        for p in words:
             d = factorization_to_dict(p)
-            q = factorization_from_dict(d)
-            assert q.basis == p.basis
-            assert q.boundary_power == p.boundary_power
-            assert [c.label for c in q.twists] == [c.label for c in p.twists]
+            text = json.dumps(d, sort_keys=True)
+            q = factorization_from_dict(json.loads(text))
+            assert q == p
+            assert q.provenance == p.provenance
             assert [c.mod2 for c in q.twists] == [c.mod2 for c in p.twists]
             assert [c.int_class for c in q.twists] == [c.int_class for c in p.twists]
+            assert json.dumps(factorization_to_dict(q), sort_keys=True) == text

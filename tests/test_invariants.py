@@ -37,15 +37,15 @@ from .helpers import random_int_class
 
 def torus_word(copies=6):
     b = SurfaceBasis(1)
-    a = Curve("a", b.unit_mod2(0), b.unit_int(0))
-    c = Curve("b", b.unit_mod2(1), b.unit_int(1))
+    a = Curve("a", b.unit_int(0))
+    c = Curve("b", b.unit_int(1))
     return PositiveFactorization(b, (a, c) * copies, 1)
 
 
 def random_odd_word(rng, max_genus=3, max_length=8):
     basis = SurfaceBasis(rng.randint(1, max_genus))
     classes = [random_int_class(rng, basis, bound=2, odd=True) for _ in range(rng.randint(2, max_length))]
-    return PositiveFactorization(basis, tuple(Curve(f"c{i}", c.mod2(), c) for i, c in enumerate(classes)), 0)
+    return PositiveFactorization(basis, tuple(Curve(f"c{i}", c) for i, c in enumerate(classes)), 0)
 
 
 def random_symplectic(rng, g, steps=5):
@@ -69,7 +69,7 @@ class TestEuler:
 
     def test_degenerate_arithmetic(self):
         b = SurfaceBasis(0)
-        dot = Curve("d", b.zero_mod2(), b.zero_int(), nonseparating=False)
+        dot = Curve("d", b.zero_int(), nonseparating=False)
         p = PositiveFactorization(b, (dot,), 0)
         assert euler_characteristic(p) == 5
 
@@ -98,7 +98,7 @@ class TestEndo:
 
     def test_rejects_separating_cycle(self):
         b = SurfaceBasis(2)
-        sep = Curve("s", b.zero_mod2(), b.zero_int(), nonseparating=False)
+        sep = Curve("s", b.zero_int(), nonseparating=False)
         p = PositiveFactorization(b, (sep,), 0)
         with pytest.raises(PreconditionError):
             signature_endo(p, hyperelliptic=True)
@@ -106,7 +106,7 @@ class TestEndo:
     def test_non_integral_rejected(self):
         # one twist at genus 2: -(3/5) is not an integer
         b = SurfaceBasis(2)
-        c = Curve("c", b.unit_mod2(0), b.unit_int(0))
+        c = Curve("c", b.unit_int(0))
         p = PositiveFactorization(b, (c,), 0)
         with pytest.raises(PreconditionError):
             signature_endo(p, hyperelliptic=True)
@@ -178,7 +178,7 @@ class TestMeyer:
     def test_single_twist_baseline(self):
         # no partial-product pairs, so the sum is empty
         b = SurfaceBasis(1)
-        c = Curve("a", b.unit_mod2(0), b.unit_int(0))
+        c = Curve("a", b.unit_int(0))
         assert signature_meyer(PositiveFactorization(b, (c,), 0)) == 0
 
 

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcg_spinlab.factorization import Curve, PositiveFactorization
-from mcg_spinlab.homology import PreconditionError, SurfaceBasis
+from mcg_spinlab.factorization import Curve
+from mcg_spinlab.homology import PreconditionError
 from mcg_spinlab.presentations import (
     MAX_FIBER_GENUS,
     AbelianGroup,
@@ -13,7 +13,6 @@ from mcg_spinlab.presentations import (
     fiber_genus,
     fibration_h1,
     is_normalized,
-    korkmaz_relator_set,
     normalize_presentation,
     presentation_from_text,
     presentation_to_text,
@@ -211,54 +210,24 @@ class TestFibrationH1:
             assert res.coefficients == "Z/2"
             assert res.mod2_dimension == 0
 
-
-class TestKorkmazRelatorSet:
-    def test_theorem_a_shape(self):
-        g = 5
-        p = korkmaz_cadavid(g)
-        basis = p.basis
-        conjugators = [
-            Curve(f"a{i}", basis.unit_mod2(i - 1), basis.unit_int(i - 1)) for i in range(1, g + 1)
-        ]
-        classes = korkmaz_relator_set(p, conjugators)
-        assert len(classes) == len(p.twists) + g
-
-    def test_single_conjugator(self):
-        g = 3
-        p = korkmaz_cadavid(g)
-        basis = p.basis
-        d = Curve("d", basis.unit_mod2(basis.y_index(1)), basis.unit_int(basis.y_index(1)))
-        classes = korkmaz_relator_set(p, [d])
-        assert classes[-1] == d.int_class
-
-    def test_disjoint_conjugator_rejected(self):
-        # the twist curve of a one-entry word never meets itself
-        b = SurfaceBasis(2)
-        c = Curve("c", b.unit_mod2(0), b.unit_int(0))
-        p = PositiveFactorization(b, (c,), 1)
-        with pytest.raises(PreconditionError):
-            korkmaz_relator_set(p, [c])
-
-    def test_shortcut_spans_full_word(self):
+    def test_conjugator_classes_span_full_word(self):
         # the base classes plus the conjugator classes span the same lattice
         # as the entries of the iterated twisted fiber sum they stand for
         from mcg_spinlab.constructions import relator_curves
         from mcg_spinlab.factorization import TwistWord, fiber_sum
-        from mcg_spinlab.presentations import normalize_presentation
 
         pres = presentation_from_text("gens: u v; rel: u v;")
         normalized = normalize_presentation(pres)
         g = 2 * len(normalized.generators) + 1
         block = korkmaz_cadavid(g)
         basis = block.basis
-        conjugators = [
-            Curve(f"a{i}", basis.unit_mod2(i - 1), basis.unit_int(i - 1)) for i in range(1, g + 1)
-        ] + relator_curves(normalized, basis)
+        conjugators = [Curve(f"a{i}", basis.unit_int(i - 1)) for i in range(1, g + 1)]
+        conjugators += relator_curves(normalized, basis)
         full = block
         for d in conjugators:
             full = fiber_sum(full, block, TwistWord.of(d))
 
-        shortcut_rows = sorted({tuple(v.coords) for v in korkmaz_relator_set(block, conjugators)})
+        shortcut_rows = sorted({c.int_class.coords for c in block.twists + tuple(conjugators)})
         full_rows = sorted({c.int_class.coords for c in full.twists})
         assert cokernel(shortcut_rows, basis.dim) == cokernel(full_rows, basis.dim)
         assert cokernel(shortcut_rows, basis.dim) == fibration_h1(full).group
