@@ -39,6 +39,7 @@ EXIT_PRECONDITION = 3
 EXIT_VERDICT = 4
 
 FAMILIES = ("kc", "hyp", "hyp-rot", "double", "bred")
+_HYPERELLIPTIC_FAMILIES = ("hyp", "hyp-rot", "double")  # Endo's formula applies to these
 
 
 def canonical_json(obj) -> str:
@@ -123,6 +124,9 @@ def cmd_check_relation(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    if args.sigma == "endo" and args.family not in _HYPERELLIPTIC_FAMILIES:
+        families = ", ".join(_HYPERELLIPTIC_FAMILIES)
+        raise PreconditionError(f"--sigma endo needs a hyperelliptic family ({families}), not {args.family}")
     results = invariants_results(_family_factorization(args), args.sigma)
     payload = certificate("invariants", vars_inputs(args), results)
     _emit(payload, args)

@@ -17,8 +17,6 @@ from .factorization import (
     SubsurfaceImage,
     TwistWord,
     apply_word,
-    boundary_block_occurrences,
-    breed,
     check_relation,
     check_spin,
     commuting_block_permute,
@@ -272,14 +270,13 @@ def twisted_double(g: int) -> PositiveFactorization:
 
     a, b, cc, d = subsurface_boundary(g)
     reps = 2 * g + 2
-    start = 4 * g
+    start = len(_s_block(g))
     end = start + 4 * reps
     relabeled = list(p.twists)
     for slot, canonical in enumerate((a, b, cc, d)):
         for r in range(reps):
             idx = start + slot * reps + r
-            old = relabeled[idx]
-            if old.hclass != canonical.hclass:
+            if relabeled[idx].hclass != canonical.hclass:
                 raise AssertionError("twisted double: power block entry does not match boundary curve")
             relabeled[idx] = canonical
     p = PositiveFactorization(
@@ -354,19 +351,20 @@ def bred_fibration(
 ) -> tuple[PositiveFactorization, Optional[BredCertificate]]:
     """Breed the genus-2 pencil k times into the twisted double (0 <= k <= 2g+2).
 
-    Always breeds at the last remaining boundary block, producing the block
-    layout (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
+    Breeding at the last boundary block each time leaves earlier entries in
+    place, so the word is one splice, with the provenance of k such breeds:
+    (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
     """
     if g < 5 or g % 2 == 0:
         raise PreconditionError("bred fibrations need odd genus >= 5")
     if not 0 <= k <= 2 * g + 2:
         raise PreconditionError("breeding count must satisfy 0 <= k <= 2g+2")
     p = twisted_double(g)
-    image = pencil_images(g)
-    for _ in range(k):
-        occurrences = boundary_block_occurrences(p, image)
-        p = breed(p, len(occurrences) - 1, image)
-    p = p.with_note(f"family:bred-fibration g={g} k={k}")
+    cut = len(p) - len(_s_block(g)) - 4 * k  # the trailing block is S conjugated
+    twists = p.twists[:cut] + pencil_images(g).interior * k + p.twists[cut + 4 * k:]
+    notes = [f"bred pencil at entry {cut + 4 * i}" for i in reversed(range(k))]
+    notes.append(f"family:bred-fibration g={g} k={k}")
+    p = PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + tuple(notes))
     if not certify:
         return p, None
 

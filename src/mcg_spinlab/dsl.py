@@ -18,7 +18,7 @@ Grammar (statements end with ';', names must be declared before use):
     check q a;                       evaluate the form on a curve
     check-spin F q;
     check-relation F;
-    invariants F sigma=endo|meyer|paper;
+    invariants F sigma=endo|meyer|paper;  endo asserts that F is hyperelliptic
     h1 F;
 """
 

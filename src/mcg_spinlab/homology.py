@@ -254,9 +254,6 @@ class QuadraticForm:
         b = v.bits
         return ((b & self.value_bits) ^ (b & b >> self.basis.genus)).bit_count() & 1
 
-    def basis_table(self) -> dict[str, int]:
-        return {self.basis.label(i): b for i, b in enumerate(self.values)}
-
 
 def arf_invariant(q: QuadraticForm) -> int:
     """Arf invariant sum_i q(x_i) q(y_i) mod 2."""

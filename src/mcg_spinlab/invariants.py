@@ -331,16 +331,16 @@ def realize(pt: GeographyPoint) -> Optional[tuple[int, int]]:
 
 
 def enumerate_region(m_max: int) -> list[GeographyPoint]:
-    """All admissible points with m <= m_max, ordered by (m, n)."""
+    """All admissible points with m <= m_max, ordered by (m, n), in closed form.
+
+    n = 8m (mod 16) runs in steps of 16 up to min(8(m-6), 16m/3); m < 6 has none.
+    """
     if m_max < 0:
         raise PreconditionError("region enumeration needs m_max >= 0")
     if m_max > 10_000:
         raise PreconditionError("region enumeration guarded at m <= 10^4")
-    points = []
-    for m in range(m_max + 1):
-        # only n = 8m (mod 16) can be admissible
-        for n in range((8 * m) % 16, 16 * m // 3 + 1, 16):
-            pt = GeographyPoint(m, n)
-            if is_admissible(pt):
-                points.append(pt)
-    return points
+    return [
+        GeographyPoint(m, n)
+        for m in range(6, m_max + 1)
+        for n in range((8 * m) % 16, min(8 * (m - 6), 16 * m // 3) + 1, 16)
+    ]

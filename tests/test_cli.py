@@ -181,6 +181,17 @@ class TestFamilies:
         assert doc["results"]["euler"] == 12 * 8 + 8
         assert doc["results"]["signature"] == -64
 
+    @pytest.mark.parametrize("argv", [("--family", "bred", "--k", "11"), ("--family", "kc")])
+    def test_invariants_endo_needs_a_hyperelliptic_family(self, capsys, argv):
+        # these words are not certified hyperelliptic: Endo's formula would give
+        # bred(5, 11) signature -72, not -8(g+1) = -48
+        code, out, err = run_cli(capsys, "invariants", *argv, "--g", "5", "--sigma", "endo")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == (
+            f"precondition: --sigma endo needs a hyperelliptic family (hyp, hyp-rot, double), not {argv[1]}\n"
+        )
+
 
 class TestRun:
     def test_script_roundtrip_and_expect(self, tmp_path, capsys):
@@ -299,6 +310,10 @@ class TestQueryBytes:
          '{"command":"h1","inputs":{"family":"kc","g":5,"k":0},"inputs_digest":"0985d625e8367727","results":{"coefficients":"Z","group":"Z^4"}}'),
         (("h1", "--family", "bred", "--g", "5", "--k", "3"),
          '{"command":"h1","inputs":{"family":"bred","g":5,"k":3},"inputs_digest":"76dfcd10edffaa22","results":{"coefficients":"Z/2","dimension":0}}'),
+        (("invariants", "--family", "hyp-rot", "--g", "5", "--sigma", "endo"),
+         '{"command":"invariants","inputs":{"family":"hyp-rot","g":5,"k":0,"sigma":"endo"},"inputs_digest":"64855bc1cf39a59c","results":{"c1_squared":-16,"chi_h":1,"euler":28,"signature":-24,"signature_method":"endo-hyperelliptic"}}'),
+        (("invariants", "--family", "double", "--g", "5", "--sigma", "endo"),
+         '{"command":"invariants","inputs":{"family":"double","g":5,"k":0,"sigma":"endo"},"inputs_digest":"40a085736277cda7","results":{"c1_squared":0,"chi_h":6,"euler":72,"signature":-48,"signature_method":"endo-hyperelliptic"}}'),
     ]
 
     # the genus-1 relation (t_a t_b)^6 over Z, and t_m^2 known only mod 2

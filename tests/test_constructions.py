@@ -1,6 +1,6 @@
 import pytest
 
-from mcg_spinlab.factorization import apply_word, check_relation, check_spin, conjugate
+from mcg_spinlab.factorization import apply_word, boundary_block_occurrences, breed, check_relation, check_spin, conjugate
 from mcg_spinlab.homology import PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.invariants import euler_characteristic
 from mcg_spinlab.presentations import AbelianGroup, fibration_h1, presentation_from_text
@@ -174,6 +174,22 @@ class TestBredFibration:
             p, _ = bred_fibration(5, k, certify=False)
             lengths.append(len(p))
         assert lengths == [88, 92, 96, 100]
+
+    @pytest.mark.parametrize(
+        "g,ks", [(5, range(13)), (7, range(17)), (9, range(21)), (25, (0, 1, 26, 52))]
+    )
+    def test_splice_matches_iterated_breeds(self, g, ks):
+        # oracle: breed at the last boundary block k times, rescanning each time
+        image = pencil_images(g)
+        p = twisted_double(g)
+        for k in range(max(ks) + 1):
+            if k in ks:
+                q, _ = bred_fibration(g, k, certify=False)
+                assert q.twists == p.twists  # labels and classes
+                assert q.boundary_power == p.boundary_power
+                assert q.provenance == p.provenance + (f"family:bred-fibration g={g} k={k}",)
+            if k < max(ks):
+                p = breed(p, len(boundary_block_occurrences(p, image)) - 1, image)
 
 
 class TestChainCoverFastPath:

@@ -234,13 +234,14 @@ class TestGeography:
         assert [(p.m, p.n) for p in enumerate_region(8)] == [(6, 0), (7, 8), (8, 0), (8, 16)]
 
     def test_matches_bruteforce(self):
-        points = {(p.m, p.n) for p in enumerate_region(40)}
-        brute = set()
-        for m in range(41):
-            for n in range(0, 6 * 40 + 1):
-                if n >= 0 and (n - 8 * m) % 16 == 0 and n <= 8 * (m - 6) and Fraction(n) <= Fraction(16, 3) * m:
-                    brute.add((m, n))
-        assert points == brute
+        for m_max in [*range(9), 40]:
+            points = [(p.m, p.n) for p in enumerate_region(m_max)]
+            brute = []
+            for m in range(m_max + 1):
+                for n in range(0, 6 * m_max + 1):
+                    if n >= 0 and (n - 8 * m) % 16 == 0 and n <= 8 * (m - 6) and Fraction(n) <= Fraction(16, 3) * m:
+                        brute.append((m, n))
+            assert points == brute, m_max
 
     def test_realize_is_left_inverse_on_family(self):
         for g in (5, 7, 9, 11):
