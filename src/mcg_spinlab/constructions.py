@@ -19,9 +19,7 @@ from .factorization import (
     apply_word,
     check_relation,
     check_spin,
-    commuting_block_permute,
     conjugate,
-    fiber_sum,
     product_matrix_mod2,
     word_image,
     PENCIL_ORDER,
@@ -211,15 +209,35 @@ def boundary_conjugators(g: int) -> tuple[TwistWord, TwistWord]:
 
 
 @lru_cache(maxsize=None)
+def _chain_cover_pushforward(g: int) -> frozenset[ClassMod2]:
+    """The distinct mod-2 classes of u pushed forward by w_ab.
+
+    w_ab acts bijectively on H1(Sigma; Z/2), so a word holds every class of u
+    conjugated back by w_ab^-1 exactly when it holds all of these.
+    """
+    w_ab, _ = boundary_conjugators(g)
+    u, _ = hyperelliptic_factorizations(g)
+    return frozenset(apply_word(w_ab, m) for m in {c.mod2 for c in u.twists})
+
+
+@lru_cache(maxsize=None)
 def subsurface_boundary(g: int) -> tuple[Curve, Curve, Curve, Curve]:
-    """The four boundary curves a, b, c, d of the embedded 4-holed genus-2 piece."""
+    """The four boundary curves a, b, c, d of the embedded 4-holed genus-2 piece.
+
+    They are pairwise disjoint over Z, so their twists commute.
+    """
     w_ab, w_cd = boundary_conjugators(g)
     ch = chain_curves(g)
     a = word_image(w_ab, ch[0]).relabeled("a")
     b = word_image(w_ab, ch[2]).relabeled("b")
     cc = word_image(w_cd, ch[0]).relabeled("c")
     d = word_image(w_cd, ch[2]).relabeled("d")
-    return a, b, cc, d
+    boundary = (a, b, cc, d)
+    for i, x in enumerate(boundary):
+        for y in boundary[i + 1:]:
+            if intersect(x.int_class, y.int_class) != 0:
+                raise AssertionError("boundary catalog: a, b, c, d are not pairwise disjoint over Z")
+    return boundary
 
 
 @lru_cache(maxsize=None)
@@ -258,34 +276,23 @@ def pencil_images(g: int) -> SubsurfaceImage:
 
 @lru_cache(maxsize=None)
 def twisted_double(g: int) -> PositiveFactorization:
-    """Fiber sum of the two hyperelliptic factorizations, in block form.
+    """The twisted fiber sum v^{w_ab} u^{w_cd} of the hyperelliptic factorizations, in block form.
 
-    The sum is rearranged so the middle reads (t_a t_b t_c t_d)^{2g+2}, the
-    four curves being pairwise disjoint; entries in the power block carry the
-    canonical labels a, b, c, d so breeding can match them positionally.
+    v ends with, and u starts with, t_1^{2g+2} t_3^{2g+2}; w_ab sends c_1, c_3
+    to a, b and w_cd sends them to c, d, so the sum is
+    S^{w_ab} (t_a t_b t_c t_d)^{2g+2} S^{w_cd}: the four curves are pairwise
+    disjoint, and the power block is written in that commuted order with the
+    canonical labels a, b, c, d so breeding can match it positionally.
     """
-    u, v = hyperelliptic_factorizations(g)
+    u, _ = hyperelliptic_factorizations(g)  # checks the genus
+    s = _s_block(g)
     w_ab, w_cd = boundary_conjugators(g)
-    p = fiber_sum(conjugate(v, w_ab), u, w_cd)
-
-    a, b, cc, d = subsurface_boundary(g)
-    reps = 2 * g + 2
-    start = len(_s_block(g))
-    end = start + 4 * reps
-    relabeled = list(p.twists)
-    for slot, canonical in enumerate((a, b, cc, d)):
-        for r in range(reps):
-            idx = start + slot * reps + r
-            if relabeled[idx].hclass != canonical.hclass:
-                raise AssertionError("twisted double: power block entry does not match boundary curve")
-            relabeled[idx] = canonical
-    p = PositiveFactorization(
-        p.basis, tuple(relabeled), p.boundary_power, p.provenance + ("canonical boundary labels",)
+    twists = (
+        tuple(word_image(w_ab, c) for c in s)
+        + subsurface_boundary(g) * (2 * g + 2)
+        + tuple(word_image(w_cd, c) for c in s)
     )
-    order = [slot * reps + r for r in range(reps) for slot in range(4)]
-    return commuting_block_permute(p, start, end, order).with_note(
-        f"twisted double g={g} in boundary block form"
-    )
+    return PositiveFactorization(u.basis, twists, 2, (f"twisted double g={g} in boundary block form",))
 
 
 # --- geography pipeline --------------------------------------------------------
@@ -378,12 +385,8 @@ def bred_fibration(
         h1_dim = h1.group.free_rank + sum(1 for d in h1.group.torsion if d % 2 == 0)
     fast_path: Optional[bool] = None
     if k < 2 * g + 2:
-        # every class of u occurs in p conjugated back by w_ab^-1; w_ab acts
-        # bijectively on H1(Sigma; Z/2), so push u forward instead
-        w_ab, _ = boundary_conjugators(g)
-        u, _ = hyperelliptic_factorizations(g)
-        have = {c.mod2 for c in p.twists}
-        fast_path = all(apply_word(w_ab, m) in have for m in {c.mod2 for c in u.twists})
+        # every class of u occurs in p conjugated back by w_ab^-1
+        fast_path = _chain_cover_pushforward(g) <= {c.mod2 for c in p.twists}
     first, second = _chain_reduction_checks(g)
     cert = BredCertificate(
         g=g,
@@ -459,10 +462,11 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     """Build a spin factorization whose fibration has H1 = abelianization of pres.
 
     The input presentation is normalized first; with n generators, the fiber
-    genus is 2n+1 and the word is a fiber sum of conjugated building blocks,
-    one per a-generator plus one per relator curve (plus one unconjugated
-    copy, and one extra copy when the relator count is odd to keep the
-    boundary power even).
+    genus is 2n+1 and the word is one concatenation of building blocks: an
+    unconjugated block, one block conjugated by t_c per a-curve and relator
+    curve c, and one more unconjugated block when the relator count is odd
+    to keep the boundary power even.  Its boundary power is the number of
+    blocks.
     """
     normalized = normalize_presentation(pres)
     if not normalized.generators:
@@ -475,17 +479,21 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     basis = block.basis
     form = spin_form_all_ones(basis)
 
-    p = block
-    conjugators: list[Curve] = []
-    for i in range(1, g + 1):
-        a_i = basis.unit_int(basis.x_index(i))
-        conjugators.append(Curve(f"a{i}", a_i))
-    for curve in conjugators + relator_curves(normalized, basis):
-        p = fiber_sum(p, block, TwistWord.of(curve))
+    conjugators = [Curve(f"a{i}", basis.unit_int(basis.x_index(i))) for i in range(1, g + 1)]
+    words = [TwistWord.of(c) for c in conjugators + relator_curves(normalized, basis)]
+    summands = [block] + [conjugate(block, w) for w in words]
+    notes = [f"fiber sum (conjugator {w.display_name})" for w in words]
     if len(normalized.relators) % 2 == 1:
-        p = fiber_sum(p, block)
-    copies = 1 + g + len(normalized.relators) + (len(normalized.relators) % 2)
-    p = p.with_note(f"prescribed-group fibration over {n} generators")
+        summands.append(block)
+        notes.append("fiber sum")
+    notes.append(f"prescribed-group fibration over {n} generators")
+    p = PositiveFactorization(
+        basis,
+        tuple(c for q in summands for c in q.twists),
+        sum(q.boundary_power for q in summands),
+        block.provenance + tuple(notes),
+    )
+    copies = len(summands)
 
     relation = check_relation(p)
     spin = check_spin(p, form)

@@ -6,7 +6,7 @@ Grammar (statements end with ';', names must be declared before use):
     basis g=5 [labels ab];
     form q = x*:1 y1:1 y3:1;
     curve a = y3;                    sparse mod-2 class
-    curve v = [0,1,0,-1,0,0];        integer class, mod-2 derived
+    curve v = [0,1,0,-1,0,0];        primitive integer class (gcd 1), mod-2 derived
     curve w = x1+y2 [1,0,...];       integer class, sparse form checked against it
     word phi = c1 c2^-1 a;           twists, rightmost acts first on classes
     factorization F = c1^3 a power 1; at most _MAX_ENTRIES entries
@@ -25,6 +25,7 @@ Grammar (statements end with ';', names must be declared before use):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .constructions import pencil_images
@@ -498,7 +499,11 @@ def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
                 raise ScriptError("sparse class does not match the integer vector mod 2", s.line, s.column)
         else:
             hclass = ClassMod2.parse(basis, sparse)
-        env.curves[name] = Curve(name, hclass)
+        curve = Curve(name, hclass)  # refuses a class that is zero mod 2 first
+        divisor = 1 if coords is None else gcd(*coords)
+        if divisor != 1:
+            raise ScriptError(f"curve {name}: integer class is not primitive (gcd {divisor})", s.line, s.column)
+        env.curves[name] = curve
         return
     if s.kind == "word":
         letters = tuple((_need(env.curves, ref, "curve", s), e) for ref, e in a[1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .homology import (
@@ -186,13 +187,17 @@ class PositiveFactorization:
 
 
 def conjugate(p: PositiveFactorization, word: TwistWord) -> PositiveFactorization:
-    """Entrywise conjugation: every twist curve is replaced by its word image."""
+    """Entrywise conjugation: every twist curve is replaced by its word image.
+
+    Each distinct curve of p is transported once.
+    """
     for curve, _ in word.letters:
         if curve.basis != p.basis:
             raise PreconditionError("conjugating word over wrong basis")
     if not word.letters:
         return p
-    twists = tuple(word_image(word, c) for c in p.twists)
+    images = {c: word_image(word, c) for c in dict.fromkeys(p.twists)}
+    twists = tuple(map(images.__getitem__, p.twists))
     note = f"conjugated by {word.display_name}"
     return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
 
@@ -300,38 +305,6 @@ def breed(p: PositiveFactorization, at: int, image: SubsurfaceImage) -> Positive
     pos = occurrences[at]
     twists = p.twists[:pos] + image.interior + p.twists[pos + 4:]
     note = f"bred pencil at entry {pos}"
-    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
-
-
-def commuting_block_permute(
-    p: PositiveFactorization, start: int, end: int, order: Sequence[int]
-) -> PositiveFactorization:
-    """Permute twists[start:end] by ``order`` (indices into the block).
-
-    Requires every pair of distinct curve classes in the block to intersect
-    trivially (over Z when both are integer classes, else mod 2), so the
-    permutation is a sequence of commuting swaps and the product mapping
-    class is preserved.
-    """
-    if not (0 <= start <= end <= len(p.twists)):
-        raise PreconditionError("block out of range")
-    block = p.twists[start:end]
-    if sorted(order) != list(range(len(block))):
-        raise PreconditionError("order must be a permutation of the block")
-    distinct: list[Curve] = []
-    for c in block:
-        if all(c.hclass != d.hclass for d in distinct):
-            distinct.append(c)
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1:]:
-            if a.int_class is not None and b.int_class is not None:
-                crossing = intersect(a.int_class, b.int_class)
-            else:
-                crossing = intersect(a.mod2, b.mod2)
-            if crossing != 0:
-                raise PreconditionError("block curves do not commute")
-    twists = p.twists[:start] + tuple(block[i] for i in order) + p.twists[end:]
-    note = f"permuted commuting block [{start}:{end}]"
     return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
 
 
@@ -583,11 +556,15 @@ def factorization_from_dict(d: dict) -> PositiveFactorization:
     twists = []
     for t in d["twists"]:
         mod2 = hclass = ClassMod2.parse(basis, t["mod2"])
+        divisor = 1
         if t.get("int") is not None:
             hclass = ClassInt(basis, tuple(int(a) for a in t["int"]))
             if hclass.mod2() != mod2:
                 raise PreconditionError(f"curve {t['label']}: integer class does not reduce to mod-2 class")
+            divisor = gcd(*hclass.coords)
         twists.append(Curve(t["label"], hclass))
+        if divisor != 1:
+            raise PreconditionError(f"curve {t['label']}: integer class is not primitive (gcd {divisor})")
     return PositiveFactorization(
         basis, tuple(twists), int(d["boundary_power"]), tuple(d.get("provenance", ()))
     )

@@ -250,6 +250,20 @@ class TestRun:
         assert code == EXIT_PARSE and out == ""
         assert err == "script error: 1:12: sparse class does not match the integer vector mod 2\n"
 
+    @pytest.mark.parametrize(
+        "vector,message",
+        [
+            ("[3,0]", "curve a: integer class is not primitive (gcd 3)"),
+            ("[-3,9]", "curve a: integer class is not primitive (gcd 3)"),
+            ("[2,0]", "curve a: nonseparating curve with zero mod-2 class"),
+        ],
+    )
+    def test_non_primitive_curve_exit(self, tmp_path, capsys, vector, message):
+        script = tmp_path / "bad.spin"
+        script.write_text(f"basis g=1; curve a = {vector}; factorization F = a power 0; h1 F;")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert (code, out, err) == (EXIT_PARSE, "", f"script error: 1:12: {message}\n")
+
     @pytest.mark.parametrize("exponent", ["100000000000000000000", str(_MAX_ENTRIES)])
     def test_entry_count_over_the_limit(self, tmp_path, capsys, exponent):
         script = tmp_path / "big.spin"

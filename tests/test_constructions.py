@@ -1,6 +1,22 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from mcg_spinlab.factorization import apply_word, boundary_block_occurrences, breed, check_relation, check_spin, conjugate
+import mcg_spinlab
+from mcg_spinlab import constructions
+from mcg_spinlab.factorization import (
+    apply_word,
+    boundary_block_occurrences,
+    breed,
+    check_relation,
+    check_spin,
+    conjugate,
+    fiber_sum,
+)
 from mcg_spinlab.homology import PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.invariants import euler_characteristic
 from mcg_spinlab.presentations import AbelianGroup, fibration_h1, presentation_from_text
@@ -135,6 +151,26 @@ class TestTwistedDouble:
         assert labels[start:start + 8] == ("a", "b", "c", "d", "a", "b", "c", "d")
         assert len(td) == 16 * g + 8
         assert td.boundary_power == 2
+
+    @pytest.mark.parametrize("g", [5, 7, 9, 25])
+    def test_equals_the_fiber_sum_in_block_order(self, g):
+        # oracle: the twisted fiber sum v^{w_ab} u^{w_cd}, whose power block
+        # t_a^n t_b^n t_c^n t_d^n is reordered into (t_a t_b t_c t_d)^n with
+        # the canonical labels; a, b, c, d are pairwise disjoint over Z
+        u, v = hyperelliptic_factorizations(g)
+        w_ab, w_cd = boundary_conjugators(g)
+        p = fiber_sum(conjugate(v, w_ab), u, w_cd)
+        boundary = subsurface_boundary(g)
+        for i, x in enumerate(boundary):
+            for y in boundary[i + 1:]:
+                assert intersect(x.int_class, y.int_class) == 0
+        n, start = 2 * g + 2, 4 * g
+        powers = p.twists[start:start + 4 * n]
+        assert [c.hclass for c in powers] == [b.hclass for b in boundary for _ in range(n)]
+        td = twisted_double(g)
+        assert td.twists == p.twists[:start] + boundary * n + p.twists[start + 4 * n:]  # labels and classes
+        assert td.boundary_power == p.boundary_power == 2
+        assert td.provenance == (f"twisted double g={g} in boundary block form",)
 
     def test_spin_under_alternating_form(self):
         td = twisted_double(5)
@@ -299,3 +335,17 @@ class TestPrescribedGroup:
         _, cert = spin_fibration_with_group(FinitePresentation((), ()))
         assert cert.h1.is_trivial()
         assert cert.h1_matches and cert.verdict
+
+
+def test_importing_the_cli_fills_no_catalog():
+    # a fresh interpreter: the cached catalogs are built on first use, not at import
+    code = (
+        "import json, mcg_spinlab.cli\n"
+        "from mcg_spinlab import constructions as c\n"
+        "print(json.dumps({n: f.cache_info().currsize for n, f in vars(c).items() if hasattr(f, 'cache_info')}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mcg_spinlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    sizes = json.loads(out)
+    assert sorted(sizes) == sorted(n for n, f in vars(constructions).items() if hasattr(f, "cache_info"))
+    assert sizes and set(sizes.values()) == {0}

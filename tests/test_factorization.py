@@ -14,7 +14,6 @@ from mcg_spinlab.factorization import (
     breed,
     check_relation,
     check_spin,
-    commuting_block_permute,
     conjugate,
     factorization_from_dict,
     factorization_to_dict,
@@ -44,7 +43,6 @@ from mcg_spinlab.constructions import (
     spin_fibration_with_group,
     spin_form_all_ones,
     spin_form_alternating,
-    subsurface_boundary,
     twisted_double,
 )
 
@@ -252,33 +250,6 @@ class TestBreed:
         image = pencil_images(5)
         with pytest.raises(PreconditionError):
             breed(p, 99, image)
-
-
-class TestCommutingBlock:
-    def test_rejects_crossing_curves(self):
-        ch = chain_curves(5)
-        basis = ch[0].basis
-        p = PositiveFactorization(basis, (ch[0], ch[1], ch[2]), 1)
-        with pytest.raises(PreconditionError):
-            commuting_block_permute(p, 0, 3, [2, 1, 0])
-
-    def test_rejects_integer_crossing_with_equal_mod2_classes(self):
-        # x1 and x1+2y1 agree mod 2 but meet twice over Z; swapping them
-        # would change the integer product from ((-1,0),(4,-1)) to ((3,-4),(4,-5))
-        b = SurfaceBasis(1)
-        p = PositiveFactorization(b, (Curve("a", ClassInt(b, (1, 0))), Curve("b", ClassInt(b, (1, 2)))), 0)
-        with pytest.raises(PreconditionError, match="do not commute"):
-            commuting_block_permute(p, 0, 2, [1, 0])
-
-    def test_preserves_products_on_disjoint_block(self):
-        g = 5
-        a, b, cc, d = subsurface_boundary(g)
-        basis = a.basis
-        p = PositiveFactorization(basis, (a, a, b, b, cc, cc, d, d), 2)
-        q = commuting_block_permute(p, 0, 8, [0, 2, 4, 6, 1, 3, 5, 7])
-        assert sorted(c.label for c in q.twists) == sorted(c.label for c in p.twists)
-        assert product_matrix_mod2(q) == product_matrix_mod2(p)
-        assert product_matrix_int(q) == product_matrix_int(p)
 
 
 class TestCheckRelation:
@@ -525,6 +496,14 @@ class TestDeterminism:
             factorization_from_dict(d)
         d["twists"][0]["int"] = [3, 2]
         assert factorization_from_dict(d).twists[0].int_class == ClassInt(SurfaceBasis(1), (3, 2))
+
+    def test_from_dict_rejects_a_non_primitive_int(self):
+        d = {"genus": 1, "boundary_power": 0, "twists": [{"label": "c", "mod2": "x1", "int": [3, 0]}]}
+        with pytest.raises(PreconditionError, match=r"^curve c: integer class is not primitive \(gcd 3\)$"):
+            factorization_from_dict(d)
+        d["twists"][0].update(mod2="0", int=[2, 0])
+        with pytest.raises(PreconditionError, match="zero mod-2 class"):
+            factorization_from_dict(d)
 
     def test_json_round_trip(self):
         words = (

@@ -211,26 +211,47 @@ class TestFibrationH1:
             assert res.mod2_dimension == 0
 
     def test_conjugator_classes_span_full_word(self):
-        # the base classes plus the conjugator classes span the same lattice
-        # as the entries of the iterated twisted fiber sum they stand for
+        # oracle: the iterated twisted fiber sum, one block per conjugator and
+        # a padding copy for an odd relator count.  The Theorem A word is that
+        # sum, and the base classes plus the conjugator classes span the same
+        # lattice as its entries
         from mcg_spinlab.constructions import relator_curves
         from mcg_spinlab.factorization import TwistWord, fiber_sum
 
-        pres = presentation_from_text("gens: u v; rel: u v;")
-        normalized = normalize_presentation(pres)
-        g = 2 * len(normalized.generators) + 1
-        block = korkmaz_cadavid(g)
-        basis = block.basis
-        conjugators = [Curve(f"a{i}", basis.unit_int(i - 1)) for i in range(1, g + 1)]
-        conjugators += relator_curves(normalized, basis)
-        full = block
-        for d in conjugators:
-            full = fiber_sum(full, block, TwistWord.of(d))
+        presentations = [
+            presentation_from_text("gens: u v; rel: u v;"),  # one relator: odd, padded
+            presentation_from_text("gens: x; rel: x^2;"),  # four relators after normalization: even
+            # the genus-33 reference: 17 relators after normalization
+            presentation_from_text("gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;"),
+            FinitePresentation((), ()),  # generator-free
+        ]
+        for pres in presentations:
+            normalized = normalize_presentation(pres)
+            if not normalized.generators:
+                normalized = FinitePresentation(("x",), ((1,),))
+            g = 2 * len(normalized.generators) + 1
+            block = korkmaz_cadavid(g)
+            basis = block.basis
+            conjugators = [Curve(f"a{i}", basis.unit_int(i - 1)) for i in range(1, g + 1)]
+            conjugators += relator_curves(normalized, basis)
+            full = block
+            for d in conjugators:
+                full = fiber_sum(full, block, TwistWord.of(d))
+            if len(normalized.relators) % 2 == 1:
+                full = fiber_sum(full, block)
 
-        shortcut_rows = sorted({c.int_class.coords for c in block.twists + tuple(conjugators)})
-        full_rows = sorted({c.int_class.coords for c in full.twists})
-        assert cokernel(shortcut_rows, basis.dim) == cokernel(full_rows, basis.dim)
-        assert cokernel(shortcut_rows, basis.dim) == fibration_h1(full).group
+            p, cert = spin_fibration_with_group(pres)
+            assert p.twists == full.twists  # labels and classes
+            assert cert.copies == p.boundary_power == full.boundary_power
+            notes = [f"fiber sum (conjugator t[{d.label}])" for d in conjugators]
+            notes += ["fiber sum"] * (len(normalized.relators) % 2)
+            notes.append(f"prescribed-group fibration over {len(normalized.generators)} generators")
+            assert p.provenance == block.provenance + tuple(notes)
+
+            shortcut_rows = sorted({c.int_class.coords for c in block.twists + tuple(conjugators)})
+            full_rows = sorted({c.int_class.coords for c in full.twists})
+            assert cokernel(shortcut_rows, basis.dim) == cokernel(full_rows, basis.dim)
+            assert cokernel(shortcut_rows, basis.dim) == fibration_h1(full).group == cert.h1
 
 
 class TestTextFormat:
