@@ -4,7 +4,7 @@ and running the certificate queries on them.
 Grammar (statements end with ';', names must be declared before use):
 
     basis g=5 [labels ab];
-    form q = x*:1 y1:1 y3:1;
+    form q = x*:1 y1:1 y3:1;         a wildcard is one label letter then '*'
     curve a = y3;                    sparse mod-2 class
     curve v = [0,1,0,-1,0,0];        primitive integer class (gcd 1), mod-2 derived
     curve w = x1+y2 [1,0,...];       integer class, sparse form checked against it
@@ -478,7 +478,7 @@ def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
                 raise ScriptError(f"form value must be a bit, got {bit}", s.line, s.column)
             if lab.endswith("*"):
                 letter = lab[:-1]
-                if letter not in basis.labels:
+                if letter not in tuple(basis.labels):
                     raise ScriptError(f"unknown label family {lab!r}", s.line, s.column)
                 offset = 0 if letter == basis.labels[0] else basis.genus
                 for i in range(basis.genus):

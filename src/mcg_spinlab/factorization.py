@@ -348,10 +348,9 @@ def product_matrix_mod2(p: PositiveFactorization) -> Mod2Matrix:
     return Mod2Matrix(n, tuple(rows))
 
 
-# Starting lane width W of the packed integer product, and the s of its range
-# check; neither changes a result, only how often the slow paths run.
+# Starting lane width W of the packed integer product; it changes no result,
+# only how often the lanes widen.
 _LANE_BITS = 64
-_RANGE_BITS = 8
 
 
 class _Lanes:
@@ -359,17 +358,19 @@ class _Lanes:
 
     A column int is exactly sum_i M[i][j] * 2^(W i).  It decodes uniquely
     while every entry lies in [-2^(W-1), 2^(W-1)), which the product keeps
-    by holding every column bound at most ``cap`` = 2^(W-2).
+    by holding every column bound at most ``cap`` = 2^(W-2).  Columns are
+    decoded only when the lanes widen and at the final read-out.
     """
 
     def __init__(self, n: int, width: int) -> None:
         self.n = n
         self.width = width
         self.cap = 1 << (width - 2)
+        self.floor = 1 << (width - 32)  # 2^(W/2) at the start width, 2^30 under the cap at any width
         ones = sum(1 << (width * i) for i in range(n))
         self._half = ones << (width - 1)
-        self._range_offset = ones << _RANGE_BITS
-        self._range_outside = ~(ones * ((2 << _RANGE_BITS) - 1))
+        self._range_offset = ones * self.floor
+        self._range_outside = ~(ones * (2 * self.floor - 1))
 
     def encode(self, entries: Sequence[int]) -> int:
         step = self.width // 8
@@ -384,29 +385,29 @@ class _Lanes:
         return [int.from_bytes(data[k:k + step], "little") - half for k in range(0, len(data), step)]
 
     def tighten(self, cols: list[int], bound: list[int], idx: Sequence[int]) -> bool:
-        """Lower the bounds of columns ``idx``; True if the lanes must widen.
+        """Lower the bounds of columns ``idx`` to ``floor`` = 2^s, s = W - 32; True if any was lowered.
 
-        A range check adds S = sum_i 2^s 2^(W i): when no bit of the sum lies
-        outside the low s+1 bits of its lane (which also makes it >= 0), every
-        entry is in [-2^s, 2^s).  A column that fails is decoded exactly, and
-        an entry within a factor 2^s of the cap asks for wider lanes.
+        The range check adds S = sum_i 2^s 2^(W i): when no bit of the sum
+        lies outside the low s+1 bits of its lane (which also makes it >= 0),
+        every entry is in [-2^s, 2^s).  Bounds stay within the cap, and
+        2^(s+1) <= 2^(W-1), so the column and the sum both decode uniquely and
+        the check is truthful for every width.  The fixed gap between floor
+        and cap keeps widened lanes within twice the entries; a gap growing
+        with W, as s = W/2 gives, lets them run to four times.
         """
-        floor = 1 << _RANGE_BITS
-        widen = False
+        lowered = False
         for j in idx:
-            if bound[j] <= floor:
-                continue
-            if not (cols[j] + self._range_offset) & self._range_outside:
-                bound[j] = floor
-                continue
-            bound[j] = max(map(abs, self.decode(cols[j])))
-            widen = widen or bound[j] > self.cap >> _RANGE_BITS
-        return widen
+            if bound[j] > self.floor and not (cols[j] + self._range_offset) & self._range_outside:
+                bound[j] = self.floor
+                lowered = True
+        return lowered
 
-    def widened(self, cols: list[int]) -> "_Lanes":
-        """Lanes of twice the width, with every column re-encoded into them."""
+    def widened(self, cols: list[int], bound: list[int]) -> "_Lanes":
+        """Lanes of twice the width, every column re-encoded and its bound made exact."""
         wide = _Lanes(self.n, 2 * self.width)
-        cols[:] = [wide.encode(self.decode(col)) for col in cols]
+        for j, col in enumerate(cols):
+            entries = self.decode(col)
+            cols[j], bound[j] = wide.encode(entries), max(map(abs, entries))
         return wide
 
 
@@ -423,10 +424,11 @@ def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
 
     A bound beta_j >= max_i |M[i][j]| per column keeps the lanes exact:
     Mc is bounded by sum |c_i| beta_i and each beta_j grows by |(Jc)_j|
-    times that.  Before a twist could push a bound past the cap 2^(W-2),
-    the involved columns are tightened by a range check or an exact decode,
-    and when the true entries come near the cap every column is re-encoded
-    into lanes of twice the width.
+    times that.  While a twist would push a bound past the cap 2^(W-2),
+    the involved columns are tightened by the lanes' range check, and when
+    that lowers no bound every column is re-encoded into lanes of twice
+    the width with exact bounds.  Each widening raises the cap over bounds
+    that are exact, so the loop ends.
     """
     if not p.has_integer_classes():
         raise PreconditionError("some twist curve has no integer class")
@@ -443,8 +445,10 @@ def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
             support = supports[coords] = _int_supports(curve.int_class)
         c_groups, jc_groups, jc_support, jc_max = support
         mc_bound = _mc_bound(c_groups, bound_at)
-        if max(map(bound_at, jc_support), default=0) + jc_max * mc_bound > lanes.cap:
-            lanes, mc_bound = _make_room(lanes, cols, bound, support)
+        while max(map(bound_at, jc_support), default=0) + jc_max * mc_bound > lanes.cap:
+            if not lanes.tighten(cols, bound, [i for _, idx in c_groups for i in idx] + list(jc_support)):
+                lanes = lanes.widened(cols, bound)
+            mc_bound = _mc_bound(c_groups, bound_at)
         mc = 0
         for a, idx in c_groups:
             mc += a * sum(map(col_at, idx))
@@ -459,20 +463,6 @@ def product_matrix_int(p: PositiveFactorization) -> IntMatrix:
 def _mc_bound(c_groups, bound_at) -> int:
     """sum_i |c_i| beta_i, a bound on every entry of Mc."""
     return sum(abs(a) * sum(map(bound_at, idx)) for a, idx in c_groups)
-
-
-def _make_room(lanes: _Lanes, cols: list[int], bound: list[int], support: tuple) -> tuple[_Lanes, int]:
-    """Tighten the columns one twist involves, then widen until its update fits under the cap.
-
-    Returns the lanes and the new bound on Mc.
-    """
-    c_groups, _, jc_support, jc_max = support
-    widen = lanes.tighten(cols, bound, [i for _, idx in c_groups for i in idx] + list(jc_support))
-    mc_bound = _mc_bound(c_groups, bound.__getitem__)
-    top = max(map(bound.__getitem__, jc_support), default=0) + jc_max * mc_bound
-    while widen or top > lanes.cap:
-        lanes, widen = lanes.widened(cols), False
-    return lanes, mc_bound
 
 
 def _int_supports(c: ClassInt) -> tuple:

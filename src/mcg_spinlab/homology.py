@@ -197,18 +197,11 @@ def intersect(u, v) -> int:
 
 def transvect(c, v):
     """Homological action of the positive twist along c: v + <v,c> c."""
-    _check_same_basis(c, v)
     mult = intersect(v, c)
-    if isinstance(v, ClassMod2):
-        if not isinstance(c, ClassMod2):
-            raise PreconditionError("mixed class kinds in transvect")
-        if mult == 0:
-            return v
-        return v + c
-    if not isinstance(c, ClassInt):
-        raise PreconditionError("mixed class kinds in transvect")
     if mult == 0:
         return v
+    if isinstance(v, ClassMod2):
+        return v + c
     return v + c.scaled(mult)
 
 
@@ -216,7 +209,6 @@ def transvect_inverse(c, v):
     """Inverse twist action: v - <v,c> c over Z; mod 2 it coincides with transvect."""
     if isinstance(v, ClassMod2):
         return transvect(c, v)
-    _check_same_basis(c, v)
     mult = intersect(v, c)
     if mult == 0:
         return v

@@ -237,6 +237,20 @@ class TestRun:
         assert code == EXIT_PARSE and out == ""
         assert err == "script error: 2:3: genus 66 is above the limit 65\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("basis g=2; form q = xy*:1; curve a = y1; check q a;", "1:12: unknown label family 'xy*'"),
+            ("basis g=2 labels ab; form q = ab*:1; curve a = b1; check q a;", "1:22: unknown label family 'ab*'"),
+        ],
+    )
+    def test_wildcard_of_two_letters(self, tmp_path, capsys, text, message):
+        # a wildcard is one label letter followed by '*'
+        script = tmp_path / "bad.spin"
+        script.write_text(text)
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert (code, out, err) == (EXIT_PARSE, "", f"script error: {message}\n")
+
     def test_basis_at_the_genus_limit(self, tmp_path, capsys):
         script = tmp_path / "limit.spin"
         script.write_text("basis g=65; pencil S;")

@@ -4,6 +4,7 @@ import pytest
 
 from mcg_spinlab.factorization import (
     Curve,
+    _LANE_BITS,
     _Lanes,
     PositiveFactorization,
     RelationCheck,
@@ -305,6 +306,13 @@ def _growth_word(reps):
     return _word(basis, ([a] * 3 + [b] * 3) * reps)
 
 
+def _dense_word(rng, genus, length):
+    # every coordinate +-1: Mc sums 2g columns, so bounds outrun the entries
+    basis = SurfaceBasis(genus)
+    classes = [ClassInt(basis, tuple(rng.choice((1, -1)) for _ in range(basis.dim))) for _ in range(length)]
+    return _word(basis, classes)
+
+
 def _entry_bits(m):
     return max(abs(e).bit_length() for row in m.rows for e in row)
 
@@ -361,7 +369,7 @@ class TestProductMatrixInt:
 
     def test_random_words_with_large_coefficients(self):
         # negative and large coefficients, long enough words to pass every
-        # lane bound; the seeds cover both range-checked and decoded columns
+        # lane bound; the seeds cover both passing and failing range checks
         rng = make_rng(71)
         widest = 0
         for bound in (1, 3, 50, 10**6):
@@ -405,24 +413,60 @@ class TestPackedLanes:
     @pytest.mark.parametrize("width", [64, 128])
     def test_range_check_decode_and_widen(self, width):
         lanes = _Lanes(3, width)
-        edge = 2 ** (width - 2)
+        edge, h = 2 ** (width - 2), 2 ** (width - 32)
+        assert (lanes.cap, lanes.floor) == (edge, h)
         columns = [
-            [0, 0, 0], [255, -256, 1], [256, 0, 0], [0, -257, 0], [300, 0, 0], [-200, 0, 1],
-            [300, 5, -700], [0, 0, 2**9 + 1], [edge, -edge, edge - 1], [-1, -1, -1],
+            [0, 0, 0], [h - 1, -h, 1], [-h, h - 1, -h], [h, 0, 0], [0, -h - 1, 0], [1, 2, h],
+            [300, 5, -700], [edge, -edge, edge - 1], [-1, -1, -1],
         ]
         for entries in columns:
             col = lanes.encode(entries)
             assert col == sum(e << (width * i) for i, e in enumerate(entries))
             assert lanes.decode(col) == entries
+            # the range check lowers the bound to 2^(W-32) exactly when every
+            # entry lies in [-2^(W-32), 2^(W-32)); it never decodes
+            inside = -h <= min(entries) and max(entries) < h
             bound = [edge]
-            widen = lanes.tighten([col], bound, [0])
-            top = max(map(abs, entries))
-            # a passing range check gives 2^8, a failing one the exact maximum
-            assert bound == [256 if -256 <= min(entries) and max(entries) < 256 else top]
-            assert widen == (bound[0] > edge >> 8)
-            cols = [col]
-            wide = lanes.widened(cols)
-            assert wide.width == 2 * width and wide.decode(cols[0]) == entries
+            assert lanes.tighten([col], bound, [0]) == inside
+            assert bound == [h if inside else edge]
+            # a bound already at the floor is left as it is
+            assert not lanes.tighten([col], bound, [0])
+        cols = [lanes.encode(entries) for entries in columns]
+        bound = [edge] * len(cols)
+        wide = lanes.widened(cols, bound)
+        assert wide.width == 2 * width and [wide.decode(col) for col in cols] == columns
+        assert bound == [max(map(abs, entries)) for entries in columns]
+
+    @pytest.mark.parametrize(
+        "make_word",
+        [
+            lambda: _growth_word(60),
+            lambda: _growth_word(120),
+            lambda: _random_word(make_rng(73), 5, 3, 100),
+            lambda: _dense_word(make_rng(74), 8, 200),
+        ],
+        ids=["growth-60", "growth-120", "seeded-coefficients-3", "dense-genus-8"],
+    )
+    def test_decodes_only_when_widening(self, monkeypatch, make_word):
+        # every column is decoded once per widening and once at the read-out,
+        # and the last widening found an entry of at least W - 31 bits in
+        # lanes of width W, so the final lanes are within twice the entries
+        counts = {"decode": 0, "widened": 0}
+
+        def counting(name, method):
+            def wrapper(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(_Lanes, name, counting(name, getattr(_Lanes, name)))
+        p = make_word()
+        product = product_matrix_int(p)
+        assert product == row_product_int(p)
+        assert counts["widened"] > 0
+        assert counts["decode"] == p.basis.dim * (counts["widened"] + 1)
+        assert _LANE_BITS << counts["widened"] <= 2 * (_entry_bits(product) + 31)
 
 
 class TestProductMatrixMod2:

@@ -140,6 +140,19 @@ class TestTransvect:
             v = random_int_class(rng, b)
             assert transvect(c, v).mod2() == transvect(c.mod2(), v.mod2())
 
+    @pytest.mark.parametrize("action", [transvect, transvect_inverse])
+    def test_refuses_mixed_kinds_and_bases(self, action):
+        b2, b3 = SurfaceBasis(2), SurfaceBasis(3)
+        c = b2.unit_int(b2.x_index(1))
+        for v in (c.mod2(), b2.unit_mod2(b2.y_index(1))):
+            for first, second in ((c, v), (v, c)):
+                with pytest.raises(PreconditionError, match="same kind"):
+                    action(first, second)
+        for u, v in ((c, b3.unit_int(0)), (c.mod2(), b3.unit_mod2(0))):
+            for first, second in ((u, v), (v, u)):
+                with pytest.raises(PreconditionError, match="different bases"):
+                    action(first, second)
+
 
 def oracle_quadratic(q, v):
     """Literal expansion: sum of basis values plus pairwise basis intersections."""
