@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from math import gcd
+from typing import Optional, Sequence
 
 from .factorization import (
     Curve,
@@ -39,6 +40,7 @@ from .presentations import (
     AbelianGroup,
     FinitePresentation,
     abelianization,
+    cokernel,
     fibration_h1,
     normalize_presentation,
     presentation_to_text,
@@ -458,6 +460,29 @@ def relator_curves(normalized: FinitePresentation, basis: SurfaceBasis) -> list[
     return out
 
 
+def _block_lattice_h1(block: PositiveFactorization, conjugators: Sequence[Curve]) -> AbelianGroup:
+    """H1 of the word of ``block`` and its conjugates by t_c, one per conjugator c.
+
+    By Picard-Lefschetz, T_c(v) = v + <v, c> c and T_c^-1(v) = v - <v, c> c.
+    With L the lattice of the block's classes, <v, c> runs over d_c Z as v
+    runs over L, where d_c = gcd{<c, v> : v a block class}, so
+    L + T_c(L) = L + d_c Zc, and the same holds for T_c^-1.  The word's
+    lattice is therefore L plus one row d_c c per conjugator (none when
+    d_c = 0); further unconjugated copies of the block add nothing.
+    """
+    classes = list(dict.fromkeys(c.int_class for c in block.twists))
+    rows = {v.coords for v in classes}
+    for c in conjugators:
+        d = 0
+        for v in classes:
+            d = gcd(d, intersect(c.int_class, v))
+            if d == 1:
+                break
+        if d:
+            rows.add(c.int_class.scaled(d).coords)
+    return cokernel(sorted(rows), block.basis.dim)
+
+
 def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactorization, GroupCertificate]:
     """Build a spin factorization whose fibration has H1 = abelianization of pres.
 
@@ -467,6 +492,12 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     curve c, and one more unconjugated block when the relator count is odd
     to keep the boundary power even.  Its boundary power is the number of
     blocks.
+
+    H1 comes from the block layout, not from the flat word: the block's
+    classes plus d_c c per conjugator c (``_block_lattice_h1``).  By
+    Picard-Lefschetz these span the same lattice as every class of the
+    word, so the group equals ``fibration_h1`` of the word, with a few dozen
+    rows in place of one per distinct twist.
     """
     normalized = normalize_presentation(pres)
     if not normalized.generators:
@@ -480,7 +511,8 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     form = spin_form_all_ones(basis)
 
     conjugators = [Curve(f"a{i}", basis.unit_int(basis.x_index(i))) for i in range(1, g + 1)]
-    words = [TwistWord.of(c) for c in conjugators + relator_curves(normalized, basis)]
+    conjugators += relator_curves(normalized, basis)
+    words = [TwistWord.of(c) for c in conjugators]
     summands = [block] + [conjugate(block, w) for w in words]
     notes = [f"fiber sum (conjugator {w.display_name})" for w in words]
     if len(normalized.relators) % 2 == 1:
@@ -497,7 +529,7 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
 
     relation = check_relation(p)
     spin = check_spin(p, form)
-    h1 = fibration_h1(p)
+    h1 = _block_lattice_h1(block, conjugators)
     target = abelianization(pres)
     cert = GroupCertificate(
         input_text=presentation_to_text(pres),
@@ -509,8 +541,8 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
         relation_mod2=relation.mod2,
         relation_integral=relation.integral,
         spin=spin,
-        h1=h1.group,
+        h1=h1,
         target=target,
-        h1_matches=h1.group == target,
+        h1_matches=h1 == target,
     )
     return p, cert

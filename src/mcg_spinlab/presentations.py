@@ -303,9 +303,10 @@ def check_fiber_genus(genus: int, message: str = "genus {} is above the limit {}
 def presentation_from_text(text: str) -> FinitePresentation:
     """Parse ``gens: x1 x2; rel: x1 x2 x1^-1 x2^-1;`` (one rel section per relator).
 
-    ``x^k`` stands for k letters x, or |k| letters x^-1 when k < 0.  Text
-    whose fibration would exceed ``MAX_FIBER_GENUS`` raises before any
-    relator is spelled out, so a huge exponent costs nothing.
+    ``x^k`` stands for k letters x, or |k| letters x^-1 when k < 0; k is an
+    optional sign followed by ASCII digits.  Text whose fibration would
+    exceed ``MAX_FIBER_GENUS`` raises before any relator is spelled out, so a
+    huge exponent costs nothing.
     """
     gens: list[str] = []
     powers: list[list[tuple[int, int]]] = []  # per relator: (generator index, exponent)
@@ -335,10 +336,13 @@ def presentation_from_text(text: str) -> FinitePresentation:
             for tok in tokens:
                 if "^" in tok:
                     name, exp_text = tok.split("^", 1)
-                    try:
-                        exp = int(exp_text)
-                    except ValueError:
-                        raise PreconditionError(f"bad exponent in {tok!r}") from None
+                    if not name:
+                        raise PreconditionError(f"exponent without a generator name in {tok!r}")
+                    # ASCII only: int() also accepts '_' separators and digits such as '٣'
+                    digits = exp_text[1:] if exp_text[:1] in ("+", "-") else exp_text
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise PreconditionError(f"bad exponent in {tok!r}")
+                    exp = int(exp_text)
                 else:
                     name, exp = tok, 1
                 if name not in index:

@@ -101,6 +101,15 @@ class TestThmA:
         assert out == ""
         assert "exponent" in err
 
+    def test_exponent_with_an_underscore(self, tmp_path, capsys):
+        # int() would read 1_0 as 10 and certify Z/10
+        pres = tmp_path / "bad.txt"
+        pres.write_text("gens: a; rel: a^1_0;")
+        code, out, err = run_cli(capsys, "thm-a", "--presentation", str(pres))
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "precondition: bad exponent in 'a^1_0'\n"
+
     @pytest.mark.parametrize(
         "text, genus",
         [

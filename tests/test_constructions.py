@@ -9,6 +9,9 @@ import pytest
 import mcg_spinlab
 from mcg_spinlab import constructions
 from mcg_spinlab.factorization import (
+    Curve,
+    PositiveFactorization,
+    TwistWord,
     apply_word,
     boundary_block_occurrences,
     breed,
@@ -17,9 +20,9 @@ from mcg_spinlab.factorization import (
     conjugate,
     fiber_sum,
 )
-from mcg_spinlab.homology import PreconditionError, SurfaceBasis, intersect
+from mcg_spinlab.homology import ClassInt, PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.invariants import euler_characteristic
-from mcg_spinlab.presentations import AbelianGroup, fibration_h1, presentation_from_text
+from mcg_spinlab.presentations import AbelianGroup, cokernel, fibration_h1, presentation_from_text
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
@@ -335,6 +338,46 @@ class TestPrescribedGroup:
         _, cert = spin_fibration_with_group(FinitePresentation((), ()))
         assert cert.h1.is_trivial()
         assert cert.h1_matches and cert.verdict
+
+
+class TestBlockLatticeH1:
+    """``_block_lattice_h1`` against the flat cokernel of block + conjugated blocks."""
+
+    @staticmethod
+    def flat_h1(block, conjugators):
+        twists = block.twists + tuple(t for c in conjugators for t in conjugate(block, TwistWord.of(c)).twists)
+        return fibration_h1(PositiveFactorization(block.basis, twists, 0)).group
+
+    def test_conjugator_with_d_two_and_disjoint_conjugator(self):
+        # <x1 + x2, y1 + y2> = 2 and <x1 - x2, y1 + y2> = 0, so d_c = 2; x1
+        # meets neither block class, so d_c = 0.  Adding c in place of 2c, or
+        # adding x1, would give Z + Z/2.
+        basis = SurfaceBasis(2)
+        u = Curve("u", ClassInt.from_coeffs(basis, {"x1": 1, "x2": 1}))
+        v = Curve("v", ClassInt.from_coeffs(basis, {"x1": 1, "x2": -1}))
+        block = PositiveFactorization(basis, (u, v), 0)
+        c = Curve("c", ClassInt.from_coeffs(basis, {"y1": 1, "y2": 1}))
+        disjoint = Curve("e", ClassInt.from_coeffs(basis, {"x1": 1}))
+        for conjugators in ([c], [disjoint, c], [c, disjoint]):
+            h1 = constructions._block_lattice_h1(block, conjugators)
+            assert h1 == self.flat_h1(block, conjugators) == AbelianGroup(1, (2, 2))
+        h1 = constructions._block_lattice_h1(block, [disjoint])
+        assert h1 == self.flat_h1(block, [disjoint]) == AbelianGroup(2, (2,))
+
+    def test_genus_33_reference_rows(self, monkeypatch):
+        seen = []
+
+        def counting_cokernel(rows, n):
+            seen.append(len(rows))
+            return cokernel(rows, n)
+
+        monkeypatch.setattr(constructions, "cokernel", counting_cokernel)
+        pres = presentation_from_text("gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;")
+        p, cert = spin_fibration_with_group(pres)
+        # the flat cokernel of the word takes one row per distinct twist class
+        assert len({t.int_class.coords for t in p.twists}) == 1191
+        assert len(seen) == 1 and seen[0] <= 85
+        assert cert.h1 == AbelianGroup(0, (2, 2, 2))
 
 
 def test_importing_the_cli_fills_no_catalog():

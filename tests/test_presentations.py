@@ -1,9 +1,11 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mcg_spinlab.factorization import Curve
-from mcg_spinlab.homology import PreconditionError
+from mcg_spinlab.homology import PreconditionError, intersect
 from mcg_spinlab.presentations import (
     MAX_FIBER_GENUS,
     AbelianGroup,
@@ -248,10 +250,30 @@ class TestFibrationH1:
             notes.append(f"prescribed-group fibration over {len(normalized.generators)} generators")
             assert p.provenance == block.provenance + tuple(notes)
 
+            # the identity adds d_c c per conjugator c; every d_c is 1 here, so
+            # the conjugator classes themselves complete the block's lattice
+            for d in conjugators:
+                assert gcd(*(intersect(d.int_class, c.int_class) for c in block.twists)) == 1
             shortcut_rows = sorted({c.int_class.coords for c in block.twists + tuple(conjugators)})
             full_rows = sorted({c.int_class.coords for c in full.twists})
             assert cokernel(shortcut_rows, basis.dim) == cokernel(full_rows, basis.dim)
             assert cokernel(shortcut_rows, basis.dim) == fibration_h1(full).group == cert.h1
+
+    def test_certificate_h1_matches_the_flat_word(self):
+        # the certificate's H1 comes from the block lattice; the flat cokernel
+        # of every distinct class of the word is the oracle
+        rng = make_rng(71)
+        groups = []
+        while len(groups) < 30:
+            pres = random_presentation(rng, max_gens=2, max_rels=4, max_len=5)
+            letters = sum(len(rel) for rel in pres.relators)
+            if fiber_genus(len(pres.generators), letters, is_normalized(pres)) > 33:
+                continue
+            p, cert = spin_fibration_with_group(pres)
+            assert cert.h1 == fibration_h1(p).group == cert.target
+            groups.append(cert.h1)
+        assert any(h.torsion for h in groups)
+        assert any(h.free_rank for h in groups)
 
 
 class TestTextFormat:
@@ -291,6 +313,29 @@ class TestTextFormat:
     def test_over_the_genus_limit(self, text):
         with pytest.raises(PreconditionError, match="fiber genus"):
             presentation_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "gens: a; rel: a^1_0;",  # int() reads 10
+            "gens: a; rel: a^\u0663;",  # Arabic-Indic three, int() reads 3
+            "gens: a; rel: a^\uff12;",  # fullwidth two
+            "gens: a; rel: a^+-1;",
+            "gens: a; rel: a^-;",
+        ],
+    )
+    def test_bad_exponent(self, text):
+        with pytest.raises(PreconditionError, match="bad exponent"):
+            presentation_from_text(text)
+
+    @pytest.mark.parametrize("text", ["gens: a; rel: ^3;", "gens: a; rel: a ^-1;"])
+    def test_exponent_without_a_name(self, text):
+        with pytest.raises(PreconditionError, match="exponent without a generator name"):
+            presentation_from_text(text)
+
+    @pytest.mark.parametrize("exponent, letters", [("+2", (1, 1)), ("02", (1, 1)), ("-0", ()), ("-3", (-1, -1, -1))])
+    def test_ascii_exponent_spellings(self, exponent, letters):
+        assert presentation_from_text(f"gens: a; rel: a^{exponent};").relators == (letters,)
 
 
 class TestFiberGenus:
