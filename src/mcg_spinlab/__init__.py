@@ -71,6 +71,7 @@ from .constructions import (
     boundary_conjugators,
     bred_fibration,
     chain_curves,
+    group_certificate,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
     pencil_images,

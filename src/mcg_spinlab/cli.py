@@ -24,10 +24,10 @@ from .constructions import (
     boundary_conjugators,
     bred_fibration,
     chain_curves,
+    group_certificate,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
     pencil_images,
-    spin_fibration_with_group,
     spin_form_all_ones,
     spin_form_alternating,
     twisted_double,
@@ -175,7 +175,7 @@ def cmd_geography(args) -> int:
 def cmd_thm_a(args) -> int:
     with open(args.presentation) as fh:
         pres = presentation_from_text(fh.read())
-    _, cert = spin_fibration_with_group(pres)
+    cert = group_certificate(pres)
     results = {
         "input": cert.input_text,
         "normalized": cert.normalized_text,

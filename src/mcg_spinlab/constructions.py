@@ -15,8 +15,10 @@ from typing import Optional, Sequence
 from .factorization import (
     Curve,
     PositiveFactorization,
+    RelationCheck,
     SubsurfaceImage,
     TwistWord,
+    _twist_label,
     apply_word,
     check_relation,
     check_spin,
@@ -138,6 +140,12 @@ def korkmaz_cadavid(g: int) -> PositiveFactorization:
     return PositiveFactorization(
         basis, half + half, 1, (f"korkmaz-cadavid building block g={g}",)
     )
+
+
+@lru_cache(maxsize=None)
+def _block_relation(g: int) -> RelationCheck:
+    """The relation check of the genus-g Korkmaz-Cadavid block."""
+    return check_relation(korkmaz_cadavid(g))
 
 
 # --- hyperelliptic factorizations and the breeding scene ------------------------
@@ -483,6 +491,127 @@ def _block_lattice_h1(block: PositiveFactorization, conjugators: Sequence[Curve]
     return cokernel(sorted(rows), block.basis.dim)
 
 
+@dataclass(frozen=True)
+class _GroupLayout:
+    """The block layout of a prescribed-group word.
+
+    The word is ``block``, then ``block`` conjugated by t_c for each c in
+    ``conjugators``, then one more ``block`` when ``pad`` holds.
+    """
+
+    normalized: FinitePresentation
+    block: PositiveFactorization
+    conjugators: tuple[Curve, ...]
+    pad: bool
+
+    @property
+    def copies(self) -> int:
+        return 1 + len(self.conjugators) + self.pad
+
+
+def _group_layout(pres: FinitePresentation) -> _GroupLayout:
+    """The layout of the word for pres, without building the word.
+
+    With n generators after normalization, the fiber genus is 2n+1, the
+    block is the Korkmaz-Cadavid factorization, the conjugators are the
+    a-curves and the relator curves, and an odd relator count pads one
+    unconjugated block to keep the boundary power even.
+    """
+    normalized = normalize_presentation(pres)
+    if not normalized.generators:
+        # generator-free presentation of the trivial group; pad by a killed
+        # generator so the fiber genus is at least 3 (a Tietze addition)
+        normalized = FinitePresentation(("x",), ((1,),))
+    g = 2 * len(normalized.generators) + 1
+    block = korkmaz_cadavid(g)
+    basis = block.basis
+    conjugators = [Curve(f"a{i}", basis.unit_int(basis.x_index(i))) for i in range(1, g + 1)]
+    conjugators += relator_curves(normalized, basis)
+    return _GroupLayout(normalized, block, tuple(conjugators), len(normalized.relators) % 2 == 1)
+
+
+def _layout_word(layout: _GroupLayout) -> PositiveFactorization:
+    """The flat word of a layout: its blocks concatenated once; boundary powers add."""
+    block = layout.block
+    words = [TwistWord.of(c) for c in layout.conjugators]
+    summands = [block] + [conjugate(block, w) for w in words] + [block] * layout.pad
+    notes = [f"fiber sum (conjugator {w.display_name})" for w in words] + ["fiber sum"] * layout.pad
+    notes.append(f"prescribed-group fibration over {len(layout.normalized.generators)} generators")
+    return PositiveFactorization(
+        block.basis,
+        tuple(c for q in summands for c in q.twists),
+        sum(q.boundary_power for q in summands),
+        block.provenance + tuple(notes),
+    )
+
+
+def _layout_spin(layout: _GroupLayout, form: QuadraticForm) -> SpinCertificate:
+    """The spin certificate of the layout's word, entry for entry, without building it.
+
+    Mod 2, q(T_c v) = q(v) + <v, c>(q(c) + 1): T_c v is v when <v, c> = 0
+    and v + c otherwise, and q(v + c) = q(v) + q(c) + <v, c>.  The values
+    are taken once per distinct block class and conjugator; each conjugated
+    entry is labeled as ``conjugate`` labels it.
+    """
+    block = layout.block
+    index: dict[ClassMod2, int] = {}
+    slots = [index.setdefault(t.mod2, len(index)) for t in block.twists]
+    q = [form(v) for v in index]
+    head = tuple((t.label, q[k]) for t, k in zip(block.twists, slots))
+    entries = list(head)
+    for c in layout.conjugators:
+        flip = form(c.mod2) ^ 1
+        image = [qv ^ (intersect(v, c.mod2) & flip) for v, qv in zip(index, q)]
+        entries += [(_twist_label(c.label, t.label, 1), image[k]) for t, k in zip(block.twists, slots)]
+    entries += head * layout.pad
+    return SpinCertificate(tuple(entries), layout.copies * block.boundary_power)
+
+
+def _layout_certificate(
+    pres: FinitePresentation, layout: _GroupLayout, relation: RelationCheck
+) -> GroupCertificate:
+    """The certificate of the layout's word, given the relation check of its block."""
+    block = layout.block
+    h1 = _block_lattice_h1(block, layout.conjugators)
+    target = abelianization(pres)
+    return GroupCertificate(
+        input_text=presentation_to_text(pres),
+        normalized_text=presentation_to_text(layout.normalized),
+        genus=block.genus,
+        copies=layout.copies,
+        length=layout.copies * len(block),
+        boundary_power=layout.copies * block.boundary_power,
+        relation_mod2=relation.mod2,
+        relation_integral=relation.integral,
+        spin=_layout_spin(layout, spin_form_all_ones(block.basis)),
+        h1=h1,
+        target=target,
+        h1_matches=h1 == target,
+    )
+
+
+def group_certificate(pres: FinitePresentation) -> GroupCertificate:
+    """The certificate of ``spin_fibration_with_group(pres)``, from its block layout alone.
+
+    The flat word is never built or multiplied:
+    - relation: for symplectic Phi, Phi T_v Phi^-1 = T_{Phi v}, so a block
+      conjugated by T_c multiplies to T_c P T_c^-1, with P the block's
+      product.  When P = I over Z, and so also mod 2, every summand is I,
+      the word is a relation and the boundary powers add.  The block's own
+      check is taken once per genus (the Korkmaz-Cadavid block is a
+      relation over Z at every genus; a block that is not would be
+      reported as no relation);
+    - spin: mod 2, q(T_c v) = q(v) + <v, c>(q(c) + 1) for every entry, so
+      the entries equal those of ``check_spin`` on the word for any
+      conjugator, whatever q(c) is (``_layout_spin``);
+    - H1: the block's classes plus d_c c per conjugator c
+      (``_block_lattice_h1``), the lattice of every class of the word.
+    The length is copies x len(block) and the boundary power is copies.
+    """
+    layout = _group_layout(pres)
+    return _layout_certificate(pres, layout, _block_relation(layout.block.genus))
+
+
 def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactorization, GroupCertificate]:
     """Build a spin factorization whose fibration has H1 = abelianization of pres.
 
@@ -493,56 +622,13 @@ def spin_fibration_with_group(pres: FinitePresentation) -> tuple[PositiveFactori
     to keep the boundary power even.  Its boundary power is the number of
     blocks.
 
-    H1 comes from the block layout, not from the flat word: the block's
-    classes plus d_c c per conjugator c (``_block_lattice_h1``).  By
-    Picard-Lefschetz these span the same lattice as every class of the
-    word, so the group equals ``fibration_h1`` of the word, with a few dozen
-    rows in place of one per distinct twist.
+    The certificate is ``group_certificate(pres)``, taken from the block
+    layout and not from the returned word, by two identities: for
+    symplectic Phi, Phi T_v Phi^-1 = T_{Phi v}, so each conjugated block
+    multiplies to T_c P T_c^-1 and is I when the block's product P is; and
+    mod 2, q(T_c v) = q(v) + <v, c>(q(c) + 1), which gives every spin entry.
+    H1 is the block's lattice plus d_c c per conjugator c.  The flat
+    ``check_relation``, ``check_spin`` and ``fibration_h1`` of the word
+    agree with it and serve as test oracles.
     """
-    normalized = normalize_presentation(pres)
-    if not normalized.generators:
-        # generator-free presentation of the trivial group; pad by a killed
-        # generator so the fiber genus is at least 3 (a Tietze addition)
-        normalized = FinitePresentation(("x",), ((1,),))
-    n = len(normalized.generators)
-    g = 2 * n + 1
-    block = korkmaz_cadavid(g)
-    basis = block.basis
-    form = spin_form_all_ones(basis)
-
-    conjugators = [Curve(f"a{i}", basis.unit_int(basis.x_index(i))) for i in range(1, g + 1)]
-    conjugators += relator_curves(normalized, basis)
-    words = [TwistWord.of(c) for c in conjugators]
-    summands = [block] + [conjugate(block, w) for w in words]
-    notes = [f"fiber sum (conjugator {w.display_name})" for w in words]
-    if len(normalized.relators) % 2 == 1:
-        summands.append(block)
-        notes.append("fiber sum")
-    notes.append(f"prescribed-group fibration over {n} generators")
-    p = PositiveFactorization(
-        basis,
-        tuple(c for q in summands for c in q.twists),
-        sum(q.boundary_power for q in summands),
-        block.provenance + tuple(notes),
-    )
-    copies = len(summands)
-
-    relation = check_relation(p)
-    spin = check_spin(p, form)
-    h1 = _block_lattice_h1(block, conjugators)
-    target = abelianization(pres)
-    cert = GroupCertificate(
-        input_text=presentation_to_text(pres),
-        normalized_text=presentation_to_text(normalized),
-        genus=g,
-        copies=copies,
-        length=len(p),
-        boundary_power=p.boundary_power,
-        relation_mod2=relation.mod2,
-        relation_integral=relation.integral,
-        spin=spin,
-        h1=h1,
-        target=target,
-        h1_matches=h1 == target,
-    )
-    return p, cert
+    return _layout_word(_group_layout(pres)), group_certificate(pres)

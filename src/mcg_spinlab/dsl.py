@@ -9,7 +9,7 @@ Grammar (statements end with ';', names must be declared before use):
     curve v = [0,1,0,-1,0,0];        primitive integer class (gcd 1), mod-2 derived
     curve w = x1+y2 [1,0,...];       integer class, sparse form checked against it
     word phi = c1 c2^-1 a;           twists, rightmost acts first on classes
-    factorization F = c1^3 a power 1; at most _MAX_ENTRIES entries
+    factorization F = c1^3 a power 1; any stored factorization has at most _MAX_ENTRIES entries
     pencil S;                        the standard genus-2 pencil image catalog
     conjugate G = F by phi;
     fibersum H = F G [by phi];
@@ -63,8 +63,9 @@ class Token:
 
 
 _PUNCT = set(";=:,[]^")
-# Entries a factorization declaration may spell out; at genus 65 a relation
-# check on this many twists of sparse classes takes under a second.
+# Entries a stored factorization may hold, declared or made by conjugate,
+# fibersum, hurwitz or breed; at genus 65 a relation check on this many
+# twists of sparse classes takes under a second.
 _MAX_ENTRIES = 10_000
 # ASCII only: str.isdigit also accepts characters such as '²' that int() rejects
 _DIGITS = frozenset("0123456789")
@@ -456,6 +457,13 @@ def run_script(script: Script) -> list[dict]:
     return results
 
 
+def _store(env: _Env, name: str, p: PositiveFactorization) -> None:
+    """Bind a factorization, refusing one over ``_MAX_ENTRIES`` entries."""
+    if len(p) > _MAX_ENTRIES:
+        raise PreconditionError(f"factorization {name} would have {len(p)} entries, more than {_MAX_ENTRIES}")
+    env.factorizations[name] = p
+
+
 def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
     a = s.args
     if s.kind == "basis":
@@ -513,7 +521,7 @@ def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
         twists = []
         for ref, rep in a[1]:
             twists.extend([_need(env.curves, ref, "curve", s)] * rep)
-        env.factorizations[a[0]] = PositiveFactorization(basis, tuple(twists), a[2])
+        _store(env, a[0], PositiveFactorization(basis, tuple(twists), a[2]))
         return
     if s.kind == "pencil":
         env.pencils[a[0]] = pencil_images(basis.genus)
@@ -521,22 +529,22 @@ def _execute(s: Statement, env: _Env, results: list[dict]) -> None:
     if s.kind == "conjugate":
         p = _need(env.factorizations, a[1], "factorization", s)
         w = _need(env.words, a[2], "word", s)
-        env.factorizations[a[0]] = conjugate(p, w)
+        _store(env, a[0], conjugate(p, w))
         return
     if s.kind == "fibersum":
         p1 = _need(env.factorizations, a[1], "factorization", s)
         p2 = _need(env.factorizations, a[2], "factorization", s)
         w = _need(env.words, a[3], "word", s) if a[3] is not None else None
-        env.factorizations[a[0]] = fiber_sum(p1, p2, w)
+        _store(env, a[0], fiber_sum(p1, p2, w))
         return
     if s.kind == "hurwitz":
         p = _need(env.factorizations, a[1], "factorization", s)
-        env.factorizations[a[0]] = hurwitz_move(p, a[2], a[3])
+        _store(env, a[0], hurwitz_move(p, a[2], a[3]))
         return
     if s.kind == "breed":
         p = _need(env.factorizations, a[1], "factorization", s)
         image = _need(env.pencils, a[3], "pencil", s)
-        env.factorizations[a[0]] = breed(p, a[2], image)
+        _store(env, a[0], breed(p, a[2], image))
         return
     if s.kind == "check":
         q = _need(env.forms, a[0], "form", s)

@@ -286,8 +286,11 @@ def fibration_h1(p) -> H1Result:
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # Presentation files, the family commands, thm-b and script bases refuse a
-# larger fiber genus; at genus 65 the relation check and H1 take seconds and
-# tens of MiB.
+# larger fiber genus.  thm-a never builds its word, so for it the limit is
+# cheap (0.09 s and 23 MiB at genus 65, 2 cores, Python 3.11); what it still
+# bounds are the flat words of the family commands, thm-b and scripts: at
+# genus 65 the relation check and H1 of the twisted double take 0.15 s, its
+# Meyer signature 28 s.
 MAX_FIBER_GENUS = 65
 
 

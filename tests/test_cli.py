@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from mcg_spinlab import __version__
+from mcg_spinlab import __version__, constructions, factorization
 from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from mcg_spinlab.dsl import _MAX_ENTRIES
+from mcg_spinlab.factorization import product_matrix_int
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,38 @@ class TestThmA:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert err == f"precondition: presentation needs fiber genus {genus}, above the limit 65\n"
+
+    def test_genus_33_reference_from_the_block_layout(self, tmp_path, capsys, monkeypatch):
+        # the certificate comes from the block layout: no block is conjugated,
+        # and only the block itself is multiplied out
+        def no_conjugate(*args):
+            raise AssertionError("thm-a conjugated a block")
+
+        letters = []
+
+        def counting_product(p):
+            letters.append(len(p))
+            return product_matrix_int(p)
+
+        monkeypatch.setattr(constructions, "conjugate", no_conjugate)
+        monkeypatch.setattr(factorization, "product_matrix_int", counting_product)
+        constructions._block_relation.cache_clear()
+        pres = tmp_path / "g33.txt"
+        pres.write_text("gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;")
+        code, out, _ = run_cli(capsys, "thm-a", "--presentation", str(pres), "--json")
+        assert code == EXIT_OK
+        assert 0 < sum(letters) <= len(constructions.korkmaz_cadavid(33))
+        assert json_lines_without_version(out) == [
+            '{"command":"thm-a","inputs":{"presentation_text":"gens: x0 x1 x2; rel: x0 x0; rel: x1 x1; rel: x2 x2; '
+            'rel: x0 x1 x0^-1 x1^-1;"},"inputs_digest":"4536e58bf970cf90","results":{"boundary_power":52,'
+            '"copies":52,"genus":33,"h1":"Z/2 + Z/2 + Z/2","h1_matches":true,"input":"gens: x0 x1 x2; '
+            'rel: x0 x0; rel: x1 x1; rel: x2 x2; rel: x0 x1 x0^-1 x1^-1;","length":3952,"normalized":'
+            '"gens: x0 x1 x2 x0_i x1_i x2_i z z1 z2 z3 z4 z5 z6 z7 z8 z9; rel: x0 x0_i; rel: x1 x1_i; '
+            'rel: x2 x2_i; rel: z x0_i; rel: z1 x0_i; rel: z z1; rel: z2 x1_i; rel: z3 x1_i; rel: z2 z3; '
+            'rel: z4 x2_i; rel: z5 x2_i; rel: z4 z5; rel: z6 x0_i; rel: z7 x1_i; rel: z8 x0; rel: z9 x1; '
+            'rel: z6 z7 z8 z9;","relation_integral":true,"relation_mod2":true,"spin":true,'
+            '"target_abelianization":"Z/2 + Z/2 + Z/2","verdict":true}}'
+        ]
 
 
 class TestFamilies:
@@ -303,6 +336,17 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(script), "--json")
         assert (code, err) == (EXIT_OK, "")
         assert len(json.loads(out)["results"]["entries"]) == _MAX_ENTRIES
+
+    def test_fiber_sum_over_the_limit(self, tmp_path, capsys):
+        # each declaration is within the limit; their fiber sum is not
+        script = tmp_path / "sum.spin"
+        script.write_text(
+            "basis g=1; curve a = x1;\nfactorization F = a^6000 power 0;\nfactorization G = a^6000 power 0;\n"
+            "fibersum H = F G;\nh1 H;"
+        )
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == f"precondition: 4:1: factorization H would have 12000 entries, more than {_MAX_ENTRIES}\n"
 
     def test_unreadable_script_exit(self, tmp_path, capsys):
         script = tmp_path / "latin1.spin"

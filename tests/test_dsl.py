@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcg_spinlab.dsl import ScriptError, parse_script, run_script
+from mcg_spinlab.dsl import _MAX_ENTRIES, ScriptError, parse_script, run_script
 from mcg_spinlab.homology import PreconditionError
 
 
@@ -119,6 +119,16 @@ class TestExecution:
         # one pencil block against one boundary block: products agree, so
         # F's product equals G's; neither is the identity though
         assert out[0]["mod2"] is False
+
+    def test_stored_factorizations_are_bounded(self):
+        head = "basis g=5; curve a = y3; curve b = y3+y4; curve c = y4+y5; curve d = y5; curve x = x1; word w = x; pencil S;\n"
+        decl = f"factorization F = a b c d x^{_MAX_ENTRIES - 4} power 2;\n"
+        # conjugation and Hurwitz moves keep the length, so at the limit they store
+        assert run_script(parse_script(head + decl + "conjugate G = F by w; hurwitz H = F at 0 right;")) == []
+        # breeding adds four entries
+        message = f"^3:1: factorization G would have {_MAX_ENTRIES + 4} entries, more than {_MAX_ENTRIES}$"
+        with pytest.raises(PreconditionError, match=message):
+            run_script(parse_script(head + decl + "breed G = F at 0 with S;"))
 
     def test_basis_required_first(self):
         with pytest.raises(ScriptError, match="declare a basis"):

@@ -1,11 +1,13 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcg_spinlab.factorization import Curve
-from mcg_spinlab.homology import PreconditionError, intersect
+from mcg_spinlab import constructions
+from mcg_spinlab.factorization import Curve, PositiveFactorization, check_relation, check_spin
+from mcg_spinlab.homology import ClassInt, PreconditionError, SurfaceBasis, intersect
 from mcg_spinlab.presentations import (
     MAX_FIBER_GENUS,
     AbelianGroup,
@@ -21,10 +23,13 @@ from mcg_spinlab.presentations import (
     smith_normal_form,
 )
 from mcg_spinlab.constructions import (
+    GroupCertificate,
     bred_fibration,
+    group_certificate,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
     spin_fibration_with_group,
+    spin_form_all_ones,
 )
 
 from .conftest import make_rng
@@ -274,6 +279,83 @@ class TestFibrationH1:
             groups.append(cert.h1)
         assert any(h.torsion for h in groups)
         assert any(h.free_rank for h in groups)
+
+
+GENUS_33_REFERENCE = "gens: x0 x1 x2; rel: x0^2; rel: x1^2; rel: x2^2; rel: x0 x1 x0^-1 x1^-1;"
+
+
+def flat_certificate(pres, layout, p):
+    """The certificate assembled from the flat word p of ``layout``: the oracle."""
+    relation = check_relation(p)
+    h1 = fibration_h1(p).group
+    target = abelianization(pres)
+    return GroupCertificate(
+        input_text=presentation_to_text(pres),
+        normalized_text=presentation_to_text(layout.normalized),
+        genus=p.genus,
+        copies=layout.copies,
+        length=len(p),
+        boundary_power=p.boundary_power,
+        relation_mod2=relation.mod2,
+        relation_integral=relation.integral,
+        spin=check_spin(p, spin_form_all_ones(p.basis)),
+        h1=h1,
+        target=target,
+        h1_matches=h1 == target,
+    )
+
+
+class TestGroupCertificate:
+    """``group_certificate`` from the block layout against the flat word's checks."""
+
+    def test_equals_the_flat_certificate(self):
+        rng = make_rng(73)
+        presentations = [presentation_from_text(GENUS_33_REFERENCE)]
+        while len(presentations) < 31:
+            pres = random_presentation(rng, max_gens=2, max_rels=4, max_len=5)
+            letters = sum(len(rel) for rel in pres.relators)
+            if fiber_genus(len(pres.generators), letters, is_normalized(pres)) <= 33:
+                presentations.append(pres)
+        for pres in presentations:
+            p, cert = spin_fibration_with_group(pres)
+            flat = flat_certificate(pres, constructions._group_layout(pres), p)
+            assert cert.spin.entries == flat.spin.entries
+            assert cert == flat == group_certificate(pres)
+            assert cert.verdict
+
+    def test_conjugator_with_q_zero(self):
+        # q(a1 + a2) = 1 + 1 + <a1, a2> = 0 under the all-ones form, so every
+        # entry with odd <v, a1 + a2> flips to 0 and the spin verdict fails
+        pres = presentation_from_text("gens: x; rel: x;")
+        layout = constructions._group_layout(pres)
+        basis = layout.block.basis
+        c = Curve("e", ClassInt.from_coeffs(basis, {"a1": 1, "a2": 1}))
+        assert spin_form_all_ones(basis)(c.mod2) == 0
+        layout = replace(layout, conjugators=layout.conjugators + (c,))
+        cert = constructions._layout_certificate(pres, layout, constructions._block_relation(basis.genus))
+        flat = flat_certificate(pres, layout, constructions._layout_word(layout))
+        assert cert.spin.entries == flat.spin.entries
+        assert cert == flat
+        flipped = [lab for lab, v in cert.spin.entries if v == 0]
+        assert flipped and all(lab.startswith("t[e](") for lab in flipped)
+        assert cert.relation_mod2 and cert.relation_integral and not cert.spin.verdict
+
+    def test_block_that_is_not_a_relation(self):
+        # one twist is no relation, and nor is its sum with its conjugates:
+        # t_u t_{T_c u} t_{T_e u} with u = x1, c = y1 (q = 1), e = x1 + x2 (q = 0)
+        basis = SurfaceBasis(2)
+        u = Curve("u", ClassInt.from_coeffs(basis, {"x1": 1}))
+        c = Curve("c", ClassInt.from_coeffs(basis, {"y1": 1}))
+        e = Curve("e", ClassInt.from_coeffs(basis, {"x1": 1, "x2": 1}))
+        block = PositiveFactorization(basis, (u,), 1)
+        pres = presentation_from_text("gens: x;")
+        for pad in (False, True):
+            layout = constructions._GroupLayout(normalize_presentation(pres), block, (c, e), pad)
+            cert = constructions._layout_certificate(pres, layout, check_relation(block))
+            flat = flat_certificate(pres, layout, constructions._layout_word(layout))
+            assert cert == flat
+            assert (cert.relation_mod2, cert.relation_integral) == (False, False)
+            assert not cert.verdict
 
 
 class TestTextFormat:
