@@ -49,6 +49,7 @@ from .invariants import (
     is_admissible,
     meyer_cocycle,
     realize,
+    region_rows,
     signature_endo,
     signature_meyer,
 )

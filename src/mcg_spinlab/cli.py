@@ -1,7 +1,8 @@
 """Command line front end emitting canonical JSON/TSV certificates.
 
-Exit codes: 0 all verdicts pass, 2 parse error, 3 precondition violation or
-unreadable input file, 4 failed verdict or golden mismatch.
+Exit codes: 0 all verdicts pass, 2 parse error, 3 precondition violation,
+unreadable input file or unwritable output file, 4 failed verdict or golden
+mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import __version__
 from .dsl import ScriptError, h1_results, invariants_results, parse_script, relation_results, run_script
 from .factorization import apply_word, check_relation, check_spin
 from .homology import PreconditionError
-from .invariants import enumerate_region, invariants_of, realize, signature_endo, signature_meyer
+from .invariants import enumerate_region, invariants_of, realize, region_rows, signature_endo, signature_meyer
 from .presentations import check_fiber_genus, fibration_h1, presentation_from_text
 from .constructions import (
     boundary_conjugators,
@@ -63,6 +64,8 @@ def certificate(command: str, inputs: dict, results: dict) -> dict:
 def _family_factorization(args):
     check_fiber_genus(args.g)
     family = args.family
+    if args.k != 0 and family != "bred":
+        raise PreconditionError(f"--k applies only to the bred family, not {family}")
     if family == "kc":
         return korkmaz_cadavid(args.g)
     if family == "hyp":
@@ -148,27 +151,26 @@ def vars_inputs(args) -> dict:
 def cmd_geography(args) -> int:
     if args.json and args.tsv:
         raise PreconditionError("choose one of --json and --tsv")
-    points = enumerate_region(args.max_m)
-    rows = []
-    for pt in points:
-        gk = realize(pt)
-        rows.append((pt.m, pt.n, gk[0], gk[1]))
+    rows = region_rows(args.max_m)
     if args.plot_data:
         plot = {
-            "points": [list(r) for r in rows],
+            "points": rows,
             "boundary_lines": [
                 {"name": "noether", "equation": "n = 8*m - 48"},
                 {"name": "slope-16-3", "equation": "3*n = 16*m"},
             ],
         }
-        with open(args.plot_data, "w") as fh:
+        try:
+            fh = open(args.plot_data, "w")
+        except OSError as exc:
+            raise PreconditionError(f"plot file {args.plot_data} is not writable: {exc.strerror}") from exc
+        with fh:
             fh.write(canonical_json(plot) + "\n")
     if args.json:
-        payload = certificate("geography", vars_inputs(args), {"rows": [list(r) for r in rows]})
+        payload = certificate("geography", vars_inputs(args), {"rows": rows})
         sys.stdout.write(canonical_json(payload) + "\n")
     else:
-        for r in rows:
-            sys.stdout.write("\t".join(str(x) for x in r) + "\n")
+        sys.stdout.write("".join(f"{m}\t{n}\t{g}\t{k}\n" for m, n, g, k in rows))
     return EXIT_OK
 
 

@@ -305,6 +305,26 @@ def twisted_double(g: int) -> PositiveFactorization:
     return PositiveFactorization(u.basis, twists, 2, (f"twisted double g={g} in boundary block form",))
 
 
+@lru_cache(maxsize=None)
+def _double_relation(g: int) -> RelationCheck:
+    """The relation check of the genus-g twisted double."""
+    return check_relation(twisted_double(g))
+
+
+@lru_cache(maxsize=None)
+def _double_spin(g: int) -> tuple[tuple[str, int], ...]:
+    """The spin entries of the twisted double under the alternating form."""
+    p = twisted_double(g)
+    return check_spin(p, spin_form_alternating(p.basis)).entries
+
+
+@lru_cache(maxsize=None)
+def _pencil_spin(g: int) -> tuple[tuple[str, int], ...]:
+    """The (label, q) entries of the eight pencil curves under the alternating form."""
+    q = spin_form_alternating(SurfaceBasis(g))
+    return tuple((c.label, q(c.mod2)) for c in pencil_images(g).interior)
+
+
 # --- geography pipeline --------------------------------------------------------
 
 
@@ -363,31 +383,30 @@ def _chain_reduction_checks(g: int) -> tuple[bool, bool]:
     return first, second
 
 
-def bred_fibration(
-    g: int, k: int, certify: bool = True
-) -> tuple[PositiveFactorization, Optional[BredCertificate]]:
-    """Breed the genus-2 pencil k times into the twisted double (0 <= k <= 2g+2).
+def _bred_cut(g: int, k: int) -> int:
+    """Where the k pencils start in the bred word: the trailing block is S conjugated."""
+    return len(twisted_double(g)) - len(_s_block(g)) - 4 * k
 
-    Breeding at the last boundary block each time leaves earlier entries in
-    place, so the word is one splice, with the provenance of k such breeds:
-    (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
-    """
-    if g < 5 or g % 2 == 0:
-        raise PreconditionError("bred fibrations need odd genus >= 5")
-    if not 0 <= k <= 2 * g + 2:
-        raise PreconditionError("breeding count must satisfy 0 <= k <= 2g+2")
+
+def _bred_word(g: int, k: int) -> PositiveFactorization:
+    """The twisted double with its last k boundary blocks replaced by pencils, in one splice."""
     p = twisted_double(g)
-    cut = len(p) - len(_s_block(g)) - 4 * k  # the trailing block is S conjugated
+    cut = _bred_cut(g, k)
     twists = p.twists[:cut] + pencil_images(g).interior * k + p.twists[cut + 4 * k:]
     notes = [f"bred pencil at entry {cut + 4 * i}" for i in reversed(range(k))]
     notes.append(f"family:bred-fibration g={g} k={k}")
-    p = PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + tuple(notes))
-    if not certify:
-        return p, None
+    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + tuple(notes))
 
-    relation = check_relation(p)
-    spin = check_spin(p, spin_form_alternating(p.basis))
-    inv = invariants_of(p, "paper-formula")
+
+@lru_cache(maxsize=None)
+def _bred_class_checks(g: int, k: int) -> tuple[int, Optional[bool]]:
+    """h1_mod2_dimension and chain_cover_fast_path of the bred word, from its distinct classes.
+
+    Both depend only on the set of distinct classes, and that set is the
+    same for every 0 < k < 2g+2 (every class of the double and of the
+    pencil occurs), so ``bred_fibration`` asks with k in {0, 1, 2g+2}.
+    """
+    p = _bred_word(g, k)
     h1 = fibration_h1(p)
     if h1.coefficients == "Z/2":
         h1_dim = h1.mod2_dimension
@@ -397,6 +416,44 @@ def bred_fibration(
     if k < 2 * g + 2:
         # every class of u occurs in p conjugated back by w_ab^-1
         fast_path = _chain_cover_pushforward(g) <= {c.mod2 for c in p.twists}
+    return h1_dim, fast_path
+
+
+def bred_fibration(
+    g: int, k: int, certify: bool = True
+) -> tuple[PositiveFactorization, Optional[BredCertificate]]:
+    """Breed the genus-2 pencil k times into the twisted double (0 <= k <= 2g+2).
+
+    Breeding at the last boundary block each time leaves earlier entries in
+    place, so the word is one splice, with the provenance of k such breeds:
+    (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
+
+    The certificate is taken from per-genus pieces, not from the word:
+    - relation: with L, T the leading and trailing blocks and B the
+      boundary block, the word is L B^{2g+2-k} P^k T and the double is
+      L B^{2g+2} T, and P = B mod 2 (checked by ``pencil_images``), so the
+      mod-2 check is the double's; the integral check is the double's at
+      k = 0 and unavailable otherwise, since the pencil is known only mod 2;
+    - spin: the double's and the pencil's entries, spliced as the twists are;
+    - H1 and the chain-cover fast path: ``_bred_class_checks``, per genus
+      and per class set.
+    The chain reduction checks are replayed on every call.  The flat
+    ``check_relation``, ``check_spin`` and ``fibration_h1`` of the word agree
+    with this and serve as test oracles.
+    """
+    if g < 5 or g % 2 == 0:
+        raise PreconditionError("bred fibrations need odd genus >= 5")
+    if not 0 <= k <= 2 * g + 2:
+        raise PreconditionError("breeding count must satisfy 0 <= k <= 2g+2")
+    p = _bred_word(g, k)
+    if not certify:
+        return p, None
+
+    relation = _double_relation(g)
+    cut = _bred_cut(g, k)
+    double_spin = _double_spin(g)
+    entries = double_spin[:cut] + _pencil_spin(g) * k + double_spin[cut + 4 * k:]
+    h1_dim, fast_path = _bred_class_checks(g, k if k in (0, 2 * g + 2) else 1)
     first, second = _chain_reduction_checks(g)
     cert = BredCertificate(
         g=g,
@@ -404,9 +461,9 @@ def bred_fibration(
         length=len(p),
         boundary_power=p.boundary_power,
         relation_mod2=relation.mod2,
-        relation_integral=relation.integral,
-        spin=spin,
-        invariants=inv,
+        relation_integral=relation.integral if k == 0 else None,
+        spin=SpinCertificate(entries, p.boundary_power),
+        invariants=invariants_of(p, "paper-formula"),
         h1_mod2_dimension=h1_dim,
         chain_cover_fast_path=fast_path,
         b2_equals_c1_c5_c9=first,

@@ -460,14 +460,20 @@ def pairing_vector(c):
 
 
 def mod2_rank(bit_rows: Iterable[int]) -> int:
-    """Rank over F_2 of rows packed as ints (the ``Mod2Matrix`` row format)."""
-    pivots: list[int] = []
+    """Rank over F_2 of rows packed as ints (the ``Mod2Matrix`` row format).
+
+    Each pivot owns its leading bit; a row is XORed only with the pivot that
+    owns its current leading bit, until it is zero or owns a new one.
+    """
+    pivots: dict[int, int] = {}
     for row in bit_rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
     return len(pivots)
 
 

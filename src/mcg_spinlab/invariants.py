@@ -330,17 +330,38 @@ def realize(pt: GeographyPoint) -> Optional[tuple[int, int]]:
     return g, k
 
 
+def _check_region_bound(m_max: int) -> None:
+    if m_max < 0:
+        raise PreconditionError("region enumeration needs m_max >= 0")
+    if m_max > 10_000:
+        raise PreconditionError("region enumeration guarded at m <= 10^4")
+
+
 def enumerate_region(m_max: int) -> list[GeographyPoint]:
     """All admissible points with m <= m_max, ordered by (m, n), in closed form.
 
     n = 8m (mod 16) runs in steps of 16 up to min(8(m-6), 16m/3); m < 6 has none.
     """
-    if m_max < 0:
-        raise PreconditionError("region enumeration needs m_max >= 0")
-    if m_max > 10_000:
-        raise PreconditionError("region enumeration guarded at m <= 10^4")
+    _check_region_bound(m_max)
     return [
         GeographyPoint(m, n)
+        for m in range(6, m_max + 1)
+        for n in range((8 * m) % 16, min(8 * (m - 6), 16 * m // 3) + 1, 16)
+    ]
+
+
+def region_rows(m_max: int) -> list[list[int]]:
+    """The rows [m, n, g, k] of ``enumerate_region(m_max)``, each point with ``realize``'s (g, k).
+
+    ``realize`` never fails on the region, so each row is
+    [m, n, m - 1 - n/8, n/8] and no point is built: n = 8m (mod 16) makes
+    n divisible by 8 and k = n/8 = m (mod 2), so g = m - 1 - k is odd;
+    n <= 8(m - 6) gives k <= m - 6, so g >= 5; 3n <= 16m gives
+    3k <= 2m = 2(g + 1 + k), so k <= 2g + 2; and k >= 0 since n >= 0.
+    """
+    _check_region_bound(m_max)
+    return [
+        [m, n, m - 1 - n // 8, n // 8]
         for m in range(6, m_max + 1)
         for n in range((8 * m) % 16, min(8 * (m - 6), 16 * m // 3) + 1, 16)
     ]

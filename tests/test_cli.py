@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mcg_spinlab import __version__, constructions, factorization
+from mcg_spinlab import __version__, constructions, factorization, invariants
 from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from mcg_spinlab.dsl import _MAX_ENTRIES
 from mcg_spinlab.factorization import product_matrix_int
@@ -44,6 +44,30 @@ class TestGeography:
         code, _, err = run_cli(capsys, "geography", "--max-m", "8", "--json", "--tsv")
         assert code == EXIT_PRECONDITION
 
+    def test_plot_data_not_writable(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "plot.json"
+        code, out, err = run_cli(capsys, "geography", "--max-m", "7", "--plot-data", str(target))
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == f"precondition: plot file {target} is not writable: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "m_max,message",
+        [("-1", "region enumeration needs m_max >= 0"), ("10001", "region enumeration guarded at m <= 10^4")],
+    )
+    def test_region_guard(self, capsys, m_max, message):
+        code, out, err = run_cli(capsys, "geography", "--max-m", m_max, "--json")
+        assert (code, out, err) == (EXIT_PRECONDITION, "", f"precondition: {message}\n")
+
+    def test_builds_no_point(self, capsys, monkeypatch):
+        _, want, _ = run_cli(capsys, "geography", "--max-m", "200", "--json")
+
+        def no_point(*args):
+            raise AssertionError("geography built a GeographyPoint")
+
+        monkeypatch.setattr(invariants, "GeographyPoint", no_point)
+        code, out, _ = run_cli(capsys, "geography", "--max-m", "200", "--json")
+        assert (code, out) == (EXIT_OK, want)
+
 
 class TestThmB:
     def test_json_certificate(self, capsys):
@@ -63,6 +87,21 @@ class TestThmB:
         _, out1, _ = run_cli(capsys, "thm-b", "--g", "5", "--k", "2", "--json")
         _, out2, _ = run_cli(capsys, "thm-b", "--g", "5", "--k", "2", "--json")
         assert out1 == out2
+
+    def test_warm_request_checks_no_flat_word(self, capsys, monkeypatch):
+        # warm, the certificate comes from per-genus pieces: the bred word is
+        # not multiplied, spin-checked or ranked
+        argv = ("thm-b", "--g", "25", "--k", "10", "--json")
+        _, want, _ = run_cli(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("a warm thm-b checked the flat word")
+
+        for name in ("product_matrix_mod2", "check_spin", "fibration_h1"):
+            monkeypatch.setattr(constructions, name, refuse)
+        monkeypatch.setattr(factorization, "product_matrix_mod2", refuse)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_OK, want)
 
 
 class TestThmA:
@@ -222,6 +261,23 @@ class TestFamilies:
         doc = json.loads(out)
         assert doc["results"]["euler"] == 12 * 8 + 8
         assert doc["results"]["signature"] == -64
+
+    @pytest.mark.parametrize(
+        "command",
+        [("check-spin", "--form", "alternating"), ("check-relation",), ("invariants", "--sigma", "meyer"), ("h1",)],
+        ids=["check-spin", "check-relation", "invariants", "h1"],
+    )
+    @pytest.mark.parametrize("family", ["kc", "hyp", "hyp-rot", "double"])
+    def test_k_only_for_the_bred_family(self, capsys, command, family):
+        # --k would be recorded in the inputs of a word that ignores it
+        argv = (command[0], "--family", family, "--g", "5", *command[1:], "--json")
+        for k in ("1", "7"):
+            code, out, err = run_cli(capsys, *argv, "--k", k)
+            assert (code, out) == (EXIT_PRECONDITION, "")
+            assert err == f"precondition: --k applies only to the bred family, not {family}\n"
+        _, default, _ = run_cli(capsys, *argv)
+        code, zero, _ = run_cli(capsys, *argv, "--k", "0")
+        assert code in (EXIT_OK, EXIT_VERDICT) and zero == default
 
     @pytest.mark.parametrize("argv", [("--family", "bred", "--k", "11"), ("--family", "kc")])
     def test_invariants_endo_needs_a_hyperelliptic_family(self, capsys, argv):

@@ -11,6 +11,7 @@ from mcg_spinlab import constructions
 from mcg_spinlab.factorization import (
     Curve,
     PositiveFactorization,
+    RelationCheck,
     TwistWord,
     apply_word,
     boundary_block_occurrences,
@@ -36,6 +37,8 @@ from mcg_spinlab.constructions import (
     subsurface_boundary,
     twisted_double,
 )
+
+from .oracles import flat_bred_certificate
 
 
 class TestChainCurves:
@@ -229,6 +232,24 @@ class TestBredFibration:
                 assert q.provenance == p.provenance + (f"family:bred-fibration g={g} k={k}",)
             if k < max(ks):
                 p = breed(p, len(boundary_block_occurrences(p, image)) - 1, image)
+
+
+class TestBredCertificateFromPieces:
+    def test_equals_the_flat_certificate(self):
+        # oracle: relation, spin, H1 and the fast path taken from the flat word
+        for g in range(5, 27, 2):
+            for k in range(2 * g + 3):
+                p, cert = bred_fibration(g, k)
+                assert cert == flat_bred_certificate(p), (g, k)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_relation_comes_from_the_double(self, monkeypatch, k):
+        # every certified double is a relation, so feed one that is not
+        monkeypatch.setattr(constructions, "_double_relation", lambda g: RelationCheck(False, False))
+        _, cert = bred_fibration(5, k)
+        assert cert.relation_mod2 is False
+        assert cert.relation_integral is (False if k == 0 else None)
+        assert not cert.verdict
 
 
 class TestChainCoverFastPath:

@@ -20,9 +20,16 @@ from mcg_spinlab.homology import (
     transvect_inverse,
     transvection_matrix,
 )
-from mcg_spinlab.constructions import chain_curves, korkmaz_cadavid, spin_form_all_ones, spin_form_alternating
+from mcg_spinlab.constructions import (
+    bred_fibration,
+    chain_curves,
+    korkmaz_cadavid,
+    spin_form_all_ones,
+    spin_form_alternating,
+)
 
 from .conftest import make_rng
+from .oracles import gauss_rank_mod2
 from .helpers import random_int_class, random_mod2_class, random_form
 
 
@@ -331,6 +338,35 @@ class TestMod2Rank:
             for r in rows:
                 span |= {x ^ r for x in span}
             assert 1 << mod2_rank(rows) == len(span)
+
+    def test_edge_cases(self):
+        assert mod2_rank([]) == 0
+        assert mod2_rank([0, 0, 0]) == 0
+        assert mod2_rank([5, 5, 0, 5]) == 1
+        assert mod2_rank(iter([1 << 129, 1, (1 << 129) | 1])) == 2
+
+    def test_matches_gaussian_elimination_up_to_genus_65(self):
+        # 130 bits is the dimension of H1 at the genus limit
+        rng = make_rng(15)
+        for case in range(120):
+            width = rng.choice([1, 2, 7, 20, 50, 64, 65, 130]) if case % 2 else rng.randint(1, 130)
+            count = rng.randint(0, width + 4)
+            density = rng.choice([0.02, 0.1, 0.5])
+            rows = [sum(1 << j for j in range(width) if rng.random() < density) for _ in range(count)]
+            # zero rows and duplicates of earlier rows
+            for _ in range(rng.randint(0, 3)):
+                rows.insert(rng.randint(0, len(rows)), 0)
+            if rows:
+                rows += rng.sample(rows, rng.randint(0, min(3, len(rows))))
+            assert mod2_rank(rows) == gauss_rank_mod2(rows), (case, width, rows)
+
+    @pytest.mark.parametrize("g", [5, 13, 25])
+    def test_matches_gaussian_elimination_on_bred_and_chain_rows(self, g):
+        bred = sorted({c.mod2.bits for c in bred_fibration(g, 1, certify=False)[0].twists})
+        ch = chain_curves(g)
+        chain = [(ch[i].mod2 + ch[i + 1].mod2).bits for i in range(2 * g)]
+        for rows in (bred, chain, chain + bred):
+            assert mod2_rank(rows) == gauss_rank_mod2(rows)
 
 
 def brute_force_spin_structures(basis, constraints):

@@ -20,6 +20,7 @@ from mcg_spinlab.invariants import (
     is_admissible,
     meyer_cocycle,
     realize,
+    region_rows,
     signature_endo,
     signature_meyer,
 )
@@ -254,3 +255,28 @@ class TestGeography:
             enumerate_region(10_001)
         with pytest.raises(PreconditionError):
             enumerate_region(-1)
+
+    def test_rows_are_the_realized_region(self):
+        # oracle: the points of enumerate_region, each realized
+        for m_max in range(301):
+            assert region_rows(m_max) == [[pt.m, pt.n, *realize(pt)] for pt in enumerate_region(m_max)], m_max
+
+    def test_rows_match_an_admissibility_scan(self):
+        # oracle: every (m, n) with m <= 80 and n <= 8m (admissible points have
+        # n <= 8(m - 6)), kept when is_admissible holds
+        scan = [
+            [m, n, *realize(GeographyPoint(m, n))]
+            for m in range(81)
+            for n in range(8 * m + 1)
+            if is_admissible(GeographyPoint(m, n))
+        ]
+        for m_max in range(81):
+            assert region_rows(m_max) == [row for row in scan if row[0] <= m_max], m_max
+
+    @pytest.mark.parametrize("m_max", [-1, 10_001])
+    def test_rows_guard(self, m_max):
+        with pytest.raises(PreconditionError) as rows_error:
+            region_rows(m_max)
+        with pytest.raises(PreconditionError) as points_error:
+            enumerate_region(m_max)
+        assert str(rows_error.value) == str(points_error.value)
