@@ -49,7 +49,7 @@ from .invariants import (
     is_admissible,
     meyer_cocycle,
     realize,
-    region_rows,
+    region_chunks,
     signature_endo,
     signature_meyer,
 )

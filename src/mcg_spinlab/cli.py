@@ -19,7 +19,7 @@ from . import __version__
 from .dsl import ScriptError, h1_results, invariants_results, parse_script, relation_results, run_script
 from .factorization import apply_word, check_relation, check_spin
 from .homology import PreconditionError
-from .invariants import enumerate_region, invariants_of, realize, region_rows, signature_endo, signature_meyer
+from .invariants import enumerate_region, invariants_of, realize, region_chunks, signature_endo, signature_meyer
 from .presentations import check_fiber_genus, fibration_h1, presentation_from_text
 from .constructions import (
     boundary_conjugators,
@@ -41,6 +41,7 @@ EXIT_VERDICT = 4
 
 FAMILIES = ("kc", "hyp", "hyp-rot", "double", "bred")
 _HYPERELLIPTIC_FAMILIES = ("hyp", "hyp-rot", "double")  # Endo's formula applies to these
+_ROWS = "\0"  # stands for the geography rows' text in a canonical JSON frame
 
 
 def canonical_json(obj) -> str:
@@ -148,29 +149,35 @@ def vars_inputs(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in keep and v is not None}
 
 
+def _write_framed(stream, frame: dict, chunks) -> None:
+    """Write ``canonical_json(frame)`` and a newline, with the text ``chunks`` in place of its list ``[_ROWS]``."""
+    head, tail = canonical_json(frame).split(canonical_json(_ROWS))
+    stream.write(head)
+    stream.writelines(chunks)
+    stream.write(tail + "\n")
+
+
 def cmd_geography(args) -> int:
     if args.json and args.tsv:
         raise PreconditionError("choose one of --json and --tsv")
-    rows = region_rows(args.max_m)
+    rows = region_chunks(args.max_m) if args.json else region_chunks(args.max_m, "%d\t%%d\t%%d\t%%d\n", "")
     if args.plot_data:
         plot = {
-            "points": rows,
+            "points": [_ROWS],
             "boundary_lines": [
                 {"name": "noether", "equation": "n = 8*m - 48"},
                 {"name": "slope-16-3", "equation": "3*n = 16*m"},
             ],
         }
         try:
-            fh = open(args.plot_data, "w")
+            with open(args.plot_data, "w") as fh:
+                _write_framed(fh, plot, region_chunks(args.max_m))
         except OSError as exc:
             raise PreconditionError(f"plot file {args.plot_data} is not writable: {exc.strerror}") from exc
-        with fh:
-            fh.write(canonical_json(plot) + "\n")
     if args.json:
-        payload = certificate("geography", vars_inputs(args), {"rows": rows})
-        sys.stdout.write(canonical_json(payload) + "\n")
+        _write_framed(sys.stdout, certificate("geography", vars_inputs(args), {"rows": [_ROWS]}), rows)
     else:
-        sys.stdout.write("".join(f"{m}\t{n}\t{g}\t{k}\n" for m, n, g, k in rows))
+        sys.stdout.writelines(rows)
     return EXIT_OK
 
 
@@ -382,6 +389,14 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
+def _integer(text: str) -> int:
+    # ASCII only: int() also accepts spaces, '_' separators and digits such as '٣'
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -392,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p, need_form=False):
         p.add_argument("--family", choices=FAMILIES, required=True)
-        p.add_argument("--g", type=int, required=True)
-        p.add_argument("--k", type=int, default=0)
+        p.add_argument("--g", type=_integer, required=True)
+        p.add_argument("--k", type=_integer, default=0)
         if need_form:
             p.add_argument("--form", choices=("all-ones", "alternating"), required=True)
         p.add_argument("--json", action="store_true")
@@ -416,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_h1)
 
     p = sub.add_parser("geography", help="admissible lattice points and their (g, k)")
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
+    p.add_argument("--max-m", type=_integer, required=True, dest="max_m")
     p.add_argument("--tsv", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--plot-data", dest="plot_data")
@@ -428,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thm_a)
 
     p = sub.add_parser("thm-b", help="bred fibration certificate for a geography point")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--g", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_thm_b)
 

@@ -8,10 +8,12 @@ partial monodromy products, and the fixed value for the bred family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from .factorization import PositiveFactorization
 from .homology import IntMatrix, PreconditionError, pairing_vector, standard_j
@@ -350,18 +352,24 @@ def enumerate_region(m_max: int) -> list[GeographyPoint]:
     ]
 
 
-def region_rows(m_max: int) -> list[list[int]]:
-    """The rows [m, n, g, k] of ``enumerate_region(m_max)``, each point with ``realize``'s (g, k).
+@functools.lru_cache(maxsize=512)  # every chunk of a --max-m 517 request; ~40 MB at the m <= 10^4 guard
+def _region_chunk(m: int, row: str, sep: str) -> str:
+    k0 = m % 2
+    ns = range(8 * k0, min(8 * (m - 6), 16 * m // 3) + 1, 16)
+    text = sep.join(map((row % m).__mod__, zip(ns, range(m - 1 - k0, 4, -2), count(k0, 2))))
+    return text if m == 6 else sep + text
 
-    ``realize`` never fails on the region, so each row is
+
+def region_chunks(m_max: int, row: str = "[%d,%%d,%%d,%%d]", sep: str = ",") -> Iterator[str]:
+    """The rows [m, n, g, k] of ``enumerate_region(m_max)``, each point with ``realize``'s (g, k), as text.
+
+    One chunk per m, cached by m: ``row % m`` formats that m's (n, g, k), the
+    rows are joined by ``sep``, and every chunk but m = 6's starts with ``sep``
+    (every m >= 6 has a row).  ``realize`` never fails on the region, so each row is
     [m, n, m - 1 - n/8, n/8] and no point is built: n = 8m (mod 16) makes
     n divisible by 8 and k = n/8 = m (mod 2), so g = m - 1 - k is odd;
     n <= 8(m - 6) gives k <= m - 6, so g >= 5; 3n <= 16m gives
     3k <= 2m = 2(g + 1 + k), so k <= 2g + 2; and k >= 0 since n >= 0.
     """
     _check_region_bound(m_max)
-    return [
-        [m, n, m - 1 - n // 8, n // 8]
-        for m in range(6, m_max + 1)
-        for n in range((8 * m) % 16, min(8 * (m - 6), 16 * m // 3) + 1, 16)
-    ]
+    return map(_region_chunk, range(6, m_max + 1), repeat(row), repeat(sep))

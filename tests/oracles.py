@@ -6,6 +6,7 @@
   or lanes to trust.
 - Gaussian elimination on a 0/1 list matrix, for ``mod2_rank``.
 - The bred certificate from the flat word, for ``bred_fibration``.
+- The geography rows as lists, for the text of ``region_chunks``.
 """
 
 from typing import Optional, Sequence
@@ -19,7 +20,7 @@ from mcg_spinlab.constructions import (
 )
 from mcg_spinlab.factorization import PositiveFactorization, check_relation, check_spin
 from mcg_spinlab.homology import IntMatrix, Mod2Matrix, PreconditionError, pairing_vector
-from mcg_spinlab.invariants import invariants_of
+from mcg_spinlab.invariants import _check_region_bound, invariants_of
 from mcg_spinlab.presentations import fibration_h1
 
 
@@ -108,3 +109,17 @@ def flat_bred_certificate(p: PositiveFactorization) -> BredCertificate:
         b2_equals_c1_c5_c9=first,
         b2_preimage_is_c1_in_quotient=second,
     )
+
+
+def region_rows(m_max: int) -> list[list[int]]:
+    """The rows [m, n, g, k] of ``enumerate_region(m_max)``, each point with ``realize``'s (g, k).
+
+    ``realize`` never fails on the region, so each row is
+    [m, n, m - 1 - n/8, n/8] (the proof is in ``region_chunks``).
+    """
+    _check_region_bound(m_max)
+    return [
+        [m, n, m - 1 - n // 8, n // 8]
+        for m in range(6, m_max + 1)
+        for n in range((8 * m) % 16, min(8 * (m - 6), 16 * m // 3) + 1, 16)
+    ]

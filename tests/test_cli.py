@@ -1,12 +1,17 @@
 import gc
 import json
+import os
+from bisect import bisect_right
+from operator import itemgetter
 
 import pytest
 
 from mcg_spinlab import __version__, constructions, factorization, invariants
-from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
+from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, canonical_json, certificate, main
 from mcg_spinlab.dsl import _MAX_ENTRIES
 from mcg_spinlab.factorization import product_matrix_int
+
+from . import oracles
 
 
 def run_cli(capsys, *argv):
@@ -50,13 +55,62 @@ class TestGeography:
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert err == f"precondition: plot file {target} is not writable: No such file or directory\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_plot_data_write_fails(self, capsys):
+        # open succeeds; the write, or the flush at close, fails
+        code, out, err = run_cli(capsys, "geography", "--max-m", "8", "--plot-data", "/dev/full")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "precondition: plot file /dev/full is not writable: No space left on device\n"
+
     @pytest.mark.parametrize(
         "m_max,message",
         [("-1", "region enumeration needs m_max >= 0"), ("10001", "region enumeration guarded at m <= 10^4")],
     )
-    def test_region_guard(self, capsys, m_max, message):
-        code, out, err = run_cli(capsys, "geography", "--max-m", m_max, "--json")
-        assert (code, out, err) == (EXIT_PRECONDITION, "", f"precondition: {message}\n")
+    def test_region_guard(self, tmp_path, capsys, m_max, message):
+        target = tmp_path / "plot.json"
+        for output in ("--json", "--tsv"):
+            code, out, err = run_cli(capsys, "geography", "--max-m", m_max, output, "--plot-data", str(target))
+            assert (code, out, err) == (EXIT_PRECONDITION, "", f"precondition: {message}\n")
+            assert not target.exists()
+
+    def test_bytes_equal_the_row_oracle(self, tmp_path, capsys):
+        target = tmp_path / "plot.json"
+        lines = [{"name": "noether", "equation": "n = 8*m - 48"}, {"name": "slope-16-3", "equation": "3*n = 16*m"}]
+        all_rows = oracles.region_rows(1000)
+        all_tsv = [f"{m}\t{n}\t{g}\t{k}\n" for m, n, g, k in all_rows]
+        for m_max in [*range(301), 400, 1000]:
+            count = bisect_right(all_rows, m_max, key=itemgetter(0))
+            rows = all_rows[:count]
+            want_json = canonical_json(certificate("geography", {"max_m": m_max}, {"rows": rows})) + "\n"
+            want_plot = canonical_json({"points": rows, "boundary_lines": lines}) + "\n"
+            want_tsv = "".join(all_tsv[:count])
+            argv = ("geography", "--max-m", str(m_max))
+            for cold in (True, False):
+                if cold:
+                    invariants._region_chunk.cache_clear()
+                assert run_cli(capsys, *argv, "--json") == (EXIT_OK, want_json, ""), (m_max, cold)
+                if cold:
+                    invariants._region_chunk.cache_clear()
+                assert run_cli(capsys, *argv, "--tsv", "--plot-data", str(target)) == (EXIT_OK, want_tsv, ""), m_max
+                assert target.read_text() == want_plot, (m_max, cold)
+
+    def test_chunk_cache_is_bounded(self, monkeypatch):
+        class Sink:
+            def write(self, text):
+                pass
+
+            def writelines(self, texts):
+                for _ in texts:
+                    pass
+
+        monkeypatch.setattr("sys.stdout", Sink())
+        assert main(["geography", "--max-m", "10000"]) == EXIT_OK
+        info = invariants._region_chunk.cache_info()
+        assert info.currsize == info.maxsize == 512
+        main(["geography", "--max-m", "400", "--json"])
+        misses = invariants._region_chunk.cache_info().misses
+        main(["geography", "--max-m", "400", "--json"])
+        assert invariants._region_chunk.cache_info().misses == misses
 
     def test_builds_no_point(self, capsys, monkeypatch):
         _, want, _ = run_cli(capsys, "geography", "--max-m", "200", "--json")
@@ -67,6 +121,33 @@ class TestGeography:
         monkeypatch.setattr(invariants, "GeographyPoint", no_point)
         code, out, _ = run_cli(capsys, "geography", "--max-m", "200", "--json")
         assert (code, out) == (EXIT_OK, want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geography", "--max-m", "٣٠"],
+        ["geography", "--max-m", "1_0"],
+        ["geography", "--max-m", " 8"],
+        ["thm-b", "--g", " 5", "--k", "0"],
+        ["thm-b", "--g", "٥", "--k", "0"],
+        ["thm-b", "--g", "5", "--k", "1_0"],
+        ["h1", "--family", "kc", "--g", "+-5"],
+        ["check-relation", "--family", "bred", "--g", "5", "--k", "٠"],
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # int() reads all of these but '+-5' as numbers
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (EXIT_PARSE, "")
+    assert "invalid integer" in err
+
+
+def test_integer_options_take_a_sign(capsys):
+    _, want, _ = run_cli(capsys, "geography", "--max-m", "8", "--json")
+    assert run_cli(capsys, "geography", "--max-m", "+8", "--json") == (EXIT_OK, want, "")
 
 
 class TestThmB:

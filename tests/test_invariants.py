@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from mcg_spinlab.invariants import (
     is_admissible,
     meyer_cocycle,
     realize,
-    region_rows,
+    region_chunks,
     signature_endo,
     signature_meyer,
 )
@@ -34,6 +35,7 @@ from mcg_spinlab.constructions import (
 
 from .conftest import make_rng
 from .helpers import random_int_class
+from .oracles import region_rows
 
 
 def torus_word(copies=6):
@@ -271,12 +273,14 @@ class TestGeography:
             if is_admissible(GeographyPoint(m, n))
         ]
         for m_max in range(81):
-            assert region_rows(m_max) == [row for row in scan if row[0] <= m_max], m_max
+            rows = [row for row in scan if row[0] <= m_max]
+            assert region_rows(m_max) == rows, m_max
+            assert "[" + "".join(region_chunks(m_max)) + "]" == json.dumps(rows, separators=(",", ":")), m_max
 
     @pytest.mark.parametrize("m_max", [-1, 10_001])
     def test_rows_guard(self, m_max):
         with pytest.raises(PreconditionError) as rows_error:
-            region_rows(m_max)
+            region_chunks(m_max)
         with pytest.raises(PreconditionError) as points_error:
             enumerate_region(m_max)
         assert str(rows_error.value) == str(points_error.value)
