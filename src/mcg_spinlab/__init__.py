@@ -71,6 +71,8 @@ from .constructions import (
     GroupCertificate,
     boundary_conjugators,
     bred_fibration,
+    bred_invariants,
+    bred_word,
     chain_curves,
     group_certificate,
     hyperelliptic_factorizations,

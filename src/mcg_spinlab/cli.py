@@ -1,17 +1,20 @@
 """Command line front end emitting canonical JSON/TSV certificates.
 
 Exit codes: 0 all verdicts pass, 2 parse error, 3 precondition violation,
-unreadable input file or unwritable output file, 4 failed verdict or golden
-mismatch.
+unreadable input file or unwritable output file or stdout, 4 failed verdict or
+golden mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from typing import Optional
 
@@ -19,11 +22,13 @@ from . import __version__
 from .dsl import ScriptError, h1_results, invariants_results, parse_script, relation_results, run_script
 from .factorization import apply_word, check_relation, check_spin
 from .homology import PreconditionError
-from .invariants import enumerate_region, invariants_of, realize, region_chunks, signature_endo, signature_meyer
+from .invariants import enumerate_region, realize, region_chunks, signature_endo, signature_meyer
 from .presentations import check_fiber_genus, fibration_h1, presentation_from_text
 from .constructions import (
     boundary_conjugators,
     bred_fibration,
+    bred_invariants,
+    bred_word,
     chain_curves,
     group_certificate,
     hyperelliptic_factorizations,
@@ -76,7 +81,7 @@ def _family_factorization(args):
     if family == "double":
         return twisted_double(args.g)
     if family == "bred":
-        return bred_fibration(args.g, args.k, certify=False)[0]
+        return bred_word(args.g, args.k)
     raise PreconditionError(f"unknown family {family!r}")
 
 
@@ -131,7 +136,11 @@ def cmd_invariants(args) -> int:
     if args.sigma == "endo" and args.family not in _HYPERELLIPTIC_FAMILIES:
         families = ", ".join(_HYPERELLIPTIC_FAMILIES)
         raise PreconditionError(f"--sigma endo needs a hyperelliptic family ({families}), not {args.family}")
-    results = invariants_results(_family_factorization(args), args.sigma)
+    if args.family == "bred" and args.sigma == "paper":
+        check_fiber_genus(args.g)
+        results = asdict(bred_invariants(args.g, args.k))
+    else:
+        results = invariants_results(_family_factorization(args), args.sigma)
     payload = certificate("invariants", vars_inputs(args), results)
     _emit(payload, args)
     return EXIT_OK
@@ -169,11 +178,7 @@ def cmd_geography(args) -> int:
                 {"name": "slope-16-3", "equation": "3*n = 16*m"},
             ],
         }
-        try:
-            with open(args.plot_data, "w") as fh:
-                _write_framed(fh, plot, region_chunks(args.max_m))
-        except OSError as exc:
-            raise PreconditionError(f"plot file {args.plot_data} is not writable: {exc.strerror}") from exc
+        _write_file(args.plot_data, "plot file", lambda fh: _write_framed(fh, plot, region_chunks(args.max_m)))
     if args.json:
         _write_framed(sys.stdout, certificate("geography", vars_inputs(args), {"rows": [_ROWS]}), rows)
     else:
@@ -182,8 +187,7 @@ def cmd_geography(args) -> int:
 
 
 def cmd_thm_a(args) -> int:
-    with open(args.presentation) as fh:
-        pres = presentation_from_text(fh.read())
+    pres = presentation_from_text(_read_input(args.presentation))
     cert = group_certificate(pres)
     results = {
         "input": cert.input_text,
@@ -232,9 +236,7 @@ def cmd_thm_b(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.script) as fh:
-        text = fh.read()
-    script = parse_script(text)
+    script = parse_script(_read_input(args.script))
     results = run_script(script)
     payloads = [certificate("run", {"query": r.pop("query")}, r) for r in results]
     if args.expect:
@@ -259,16 +261,15 @@ def _strip_version(payload: dict) -> dict:
 
 def _compare_expected(payloads: list[dict], path: str) -> int:
     want = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    payload = None
-                if not isinstance(payload, dict):
-                    raise PreconditionError(f"expect file {path} line {number}: not a JSON object")
-                want.append(_strip_version(payload))
+    for number, line in enumerate(_read_input(path).split("\n"), 1):
+        if line.strip():
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError:
+                payload = None
+            if not isinstance(payload, dict):
+                raise PreconditionError(f"expect file {path} line {number}: not a JSON object")
+            want.append(_strip_version(payload))
     got = [_strip_version(p) for p in payloads]
     if got == want:
         sys.stdout.write(f"ok: {len(got)} certificates match {path}\n")
@@ -337,7 +338,7 @@ def golden_suite() -> dict:
     for g in (5, 7):
         u, _ = hyperelliptic_factorizations(g)
         signatures[f"hyp_{g}"] = {
-            "endo": signature_endo(u, hyperelliptic=True),
+            "endo": signature_endo(u),
             "meyer": signature_meyer(u),
         }
     signatures["double_5"] = {"meyer": signature_meyer(twisted_double(5))}
@@ -346,8 +347,7 @@ def golden_suite() -> dict:
     table = {}
     for g in (5, 7, 9):
         for k in (0, 1, 2, g + 1, 2 * g + 2):
-            p, _ = bred_fibration(g, k, certify=False)
-            inv = invariants_of(p, "paper-formula")
+            inv = bred_invariants(g, k)
             table[f"{g},{k}"] = [inv.euler, inv.signature, inv.chi_h, inv.c1_squared]
     doc["bred_invariants"] = table
 
@@ -361,8 +361,7 @@ def golden_suite() -> dict:
     for g in (5, 7):
         h1s[f"kc_{g}"] = str(fibration_h1(korkmaz_cadavid(g)).group)
     for k in (0, 5, 12):
-        p, _ = bred_fibration(5, k, certify=False)
-        res = fibration_h1(p)
+        res = fibration_h1(bred_word(5, k))
         h1s[f"bred_5_{k}"] = res.mod2_dimension if res.coefficients == "Z/2" else str(res.group)
     doc["h1_certificates"] = h1s
     return doc
@@ -374,12 +373,12 @@ def _golden_path():
 
 def cmd_verify_paper(args) -> int:
     computed = golden_suite()
+    path = str(_golden_path())
     if args.write_golden:
-        with open(str(_golden_path()), "w") as fh:
-            fh.write(json.dumps(computed, indent=1, sort_keys=True) + "\n")
+        _write_file(path, "golden file", lambda fh: fh.write(json.dumps(computed, indent=1, sort_keys=True) + "\n"))
         sys.stdout.write("golden suite written\n")
         return EXIT_OK
-    stored = json.loads(_golden_path().read_text())
+    stored = json.loads(_read_input(path))
     ok = True
     for section in sorted(set(computed) | set(stored)):
         same = canonical_json(computed.get(section)) == canonical_json(stored.get(section))
@@ -461,19 +460,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UnreadableInput(Exception):
+    """An input file could not be read; the message is the underlying error's."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableInput(exc) from exc
+
+
+def _write_file(path: str, what: str, write) -> None:
+    """Open ``path`` for writing and call ``write`` on it; any failure is a precondition naming the file."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise PreconditionError(f"{what} {path} is not writable: {exc.strerror}") from exc
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ScriptError as exc:
         sys.stderr.write(f"script error: {exc}\n")
         return EXIT_PARSE
     except PreconditionError as exc:
         sys.stderr.write(f"precondition: {exc}\n")
         return EXIT_PRECONDITION
-    except (OSError, UnicodeDecodeError) as exc:
+    except _UnreadableInput as exc:
         sys.stderr.write(f"unreadable input: {exc}\n")
+        return EXIT_PRECONDITION
+    except OSError as exc:  # files go through _read_input and _write_file, so this is stdout
+        sys.stderr.write(f"stdout is not writable: {exc.strerror or exc}\n")
+        # the flush at exit would fail again, so point stdout at the null device
+        with contextlib.suppress(OSError, ValueError):  # a captured stream has no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PRECONDITION
 
 

@@ -37,13 +37,12 @@ from .homology import (
     intersect,
     mod2_rank,
 )
-from .invariants import FibrationInvariants, invariants_of
+from .invariants import FibrationInvariants
 from .presentations import (
     AbelianGroup,
     FinitePresentation,
     abelianization,
     cokernel,
-    fibration_h1,
     normalize_presentation,
     presentation_to_text,
 )
@@ -137,9 +136,7 @@ def korkmaz_cadavid(g: int) -> PositiveFactorization:
     curve_a = Curve("a", mid)
     curve_b = Curve("b", mid)
     half = tuple(curves) + (curve_a, curve_a, curve_b, curve_b)
-    return PositiveFactorization(
-        basis, half + half, 1, (f"korkmaz-cadavid building block g={g}",)
-    )
+    return PositiveFactorization(basis, half + half, 1)
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +177,7 @@ def hyperelliptic_factorizations(g: int) -> tuple[PositiveFactorization, Positiv
     basis = c[0].basis
     powers = tuple([c[0]] * (2 * g + 2) + [c[2]] * (2 * g + 2))
     s = _s_block(g)
-    u = PositiveFactorization(basis, powers + s, 1, (f"hyperelliptic factorization g={g}",))
-    v = PositiveFactorization(basis, s + powers, 1, (f"rotated hyperelliptic factorization g={g}",))
-    return u, v
+    return PositiveFactorization(basis, powers + s, 1), PositiveFactorization(basis, s + powers, 1)
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +297,7 @@ def twisted_double(g: int) -> PositiveFactorization:
         + subsurface_boundary(g) * (2 * g + 2)
         + tuple(word_image(w_cd, c) for c in s)
     )
-    return PositiveFactorization(u.basis, twists, 2, (f"twisted double g={g} in boundary block form",))
+    return PositiveFactorization(u.basis, twists, 2)
 
 
 @lru_cache(maxsize=None)
@@ -388,45 +383,63 @@ def _bred_cut(g: int, k: int) -> int:
     return len(twisted_double(g)) - len(_s_block(g)) - 4 * k
 
 
-def _bred_word(g: int, k: int) -> PositiveFactorization:
-    """The twisted double with its last k boundary blocks replaced by pencils, in one splice."""
+def _check_bred(g: int, k: int) -> None:
+    if g < 5 or g % 2 == 0:
+        raise PreconditionError("bred fibrations need odd genus >= 5")
+    if not 0 <= k <= 2 * g + 2:
+        raise PreconditionError("breeding count must satisfy 0 <= k <= 2g+2")
+
+
+def bred_word(g: int, k: int) -> PositiveFactorization:
+    """Breed the genus-2 pencil k times into the twisted double (0 <= k <= 2g+2).
+
+    Breeding at the last boundary block each time leaves earlier entries in
+    place, so the word is one splice:
+    (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
+    """
+    _check_bred(g, k)
     p = twisted_double(g)
     cut = _bred_cut(g, k)
-    twists = p.twists[:cut] + pencil_images(g).interior * k + p.twists[cut + 4 * k:]
-    notes = [f"bred pencil at entry {cut + 4 * i}" for i in reversed(range(k))]
-    notes.append(f"family:bred-fibration g={g} k={k}")
-    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + tuple(notes))
+    return PositiveFactorization(
+        p.basis, p.twists[:cut] + pencil_images(g).interior * k + p.twists[cut + 4 * k:], p.boundary_power
+    )
+
+
+def bred_invariants(g: int, k: int) -> FibrationInvariants:
+    """(e, sigma, chi_h, c1^2) of ``bred_word(g, k)``, with the paper's sigma = -8(g+1) for every k.
+
+    Breeding the pencil in leaves the signature of the twisted double
+    (Theorem B), so this is the only source of the "paper-formula" method;
+    e = 4 - 4g + l is taken from the length l = len(double) + 4k.
+    """
+    _check_bred(g, k)
+    e = 4 - 4 * g + len(twisted_double(g)) + 4 * k
+    sigma = -8 * (g + 1)
+    return FibrationInvariants(e, sigma, "paper-formula", (e + sigma) // 4, 2 * e + 3 * sigma)
 
 
 @lru_cache(maxsize=None)
 def _bred_class_checks(g: int, k: int) -> tuple[int, Optional[bool]]:
     """h1_mod2_dimension and chain_cover_fast_path of the bred word, from its distinct classes.
 
-    Both depend only on the set of distinct classes, and that set is the
-    same for every 0 < k < 2g+2 (every class of the double and of the
-    pencil occurs), so ``bred_fibration`` asks with k in {0, 1, 2g+2}.
+    H1(X; Z/2) is H1(Sigma; Z/2) modulo the vanishing classes, so its
+    dimension is 2g minus their mod-2 rank.  Both values depend only on the
+    set of distinct classes, and that set is the same for every
+    0 < k < 2g+2 (every class of the double and of the pencil occurs), so
+    ``bred_fibration`` asks with k in {0, 1, 2g+2}.
     """
-    p = _bred_word(g, k)
-    h1 = fibration_h1(p)
-    if h1.coefficients == "Z/2":
-        h1_dim = h1.mod2_dimension
-    else:
-        h1_dim = h1.group.free_rank + sum(1 for d in h1.group.torsion if d % 2 == 0)
+    p = bred_word(g, k)
+    classes = {c.mod2 for c in p.twists}
+    h1_dim = p.basis.dim - mod2_rank([c.bits for c in classes])
     fast_path: Optional[bool] = None
     if k < 2 * g + 2:
         # every class of u occurs in p conjugated back by w_ab^-1
-        fast_path = _chain_cover_pushforward(g) <= {c.mod2 for c in p.twists}
+        fast_path = _chain_cover_pushforward(g) <= classes
     return h1_dim, fast_path
 
 
-def bred_fibration(
-    g: int, k: int, certify: bool = True
-) -> tuple[PositiveFactorization, Optional[BredCertificate]]:
-    """Breed the genus-2 pencil k times into the twisted double (0 <= k <= 2g+2).
-
-    Breeding at the last boundary block each time leaves earlier entries in
-    place, so the word is one splice, with the provenance of k such breeds:
-    (leading block)(t_a t_b t_c t_d)^{2g+2-k}(pencil)^k(trailing block).
+def bred_fibration(g: int, k: int) -> tuple[PositiveFactorization, BredCertificate]:
+    """``bred_word(g, k)`` and its certificate.
 
     The certificate is taken from per-genus pieces, not from the word:
     - relation: with L, T the leading and trailing blocks and B the
@@ -435,20 +448,14 @@ def bred_fibration(
       mod-2 check is the double's; the integral check is the double's at
       k = 0 and unavailable otherwise, since the pencil is known only mod 2;
     - spin: the double's and the pencil's entries, spliced as the twists are;
+    - invariants: ``bred_invariants``;
     - H1 and the chain-cover fast path: ``_bred_class_checks``, per genus
       and per class set.
     The chain reduction checks are replayed on every call.  The flat
     ``check_relation``, ``check_spin`` and ``fibration_h1`` of the word agree
     with this and serve as test oracles.
     """
-    if g < 5 or g % 2 == 0:
-        raise PreconditionError("bred fibrations need odd genus >= 5")
-    if not 0 <= k <= 2 * g + 2:
-        raise PreconditionError("breeding count must satisfy 0 <= k <= 2g+2")
-    p = _bred_word(g, k)
-    if not certify:
-        return p, None
-
+    p = bred_word(g, k)
     relation = _double_relation(g)
     cut = _bred_cut(g, k)
     double_spin = _double_spin(g)
@@ -463,7 +470,7 @@ def bred_fibration(
         relation_mod2=relation.mod2,
         relation_integral=relation.integral if k == 0 else None,
         spin=SpinCertificate(entries, p.boundary_power),
-        invariants=invariants_of(p, "paper-formula"),
+        invariants=bred_invariants(g, k),
         h1_mod2_dimension=h1_dim,
         chain_cover_fast_path=fast_path,
         b2_equals_c1_c5_c9=first,
@@ -590,15 +597,9 @@ def _group_layout(pres: FinitePresentation) -> _GroupLayout:
 def _layout_word(layout: _GroupLayout) -> PositiveFactorization:
     """The flat word of a layout: its blocks concatenated once; boundary powers add."""
     block = layout.block
-    words = [TwistWord.of(c) for c in layout.conjugators]
-    summands = [block] + [conjugate(block, w) for w in words] + [block] * layout.pad
-    notes = [f"fiber sum (conjugator {w.display_name})" for w in words] + ["fiber sum"] * layout.pad
-    notes.append(f"prescribed-group fibration over {len(layout.normalized.generators)} generators")
+    summands = [block] + [conjugate(block, TwistWord.of(c)) for c in layout.conjugators] + [block] * layout.pad
     return PositiveFactorization(
-        block.basis,
-        tuple(c for q in summands for c in q.twists),
-        sum(q.boundary_power for q in summands),
-        block.provenance + tuple(notes),
+        block.basis, tuple(c for q in summands for c in q.twists), sum(q.boundary_power for q in summands)
     )
 
 

@@ -18,13 +18,14 @@ Grammar (statements end with ';', names must be declared before use):
     check q a;                       evaluate the form on a curve
     check-spin F q;
     check-relation F;
-    invariants F sigma=endo|meyer|paper;  endo asserts that F is hyperelliptic
+    invariants F sigma=endo|meyer|paper;  endo asserts that F is hyperelliptic; paper is
+                                          refused, as only the bred family has it
     h1 F;
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gcd
 from typing import Optional
 
@@ -394,16 +395,8 @@ def relation_results(p: PositiveFactorization) -> dict:
 
 
 def invariants_results(p: PositiveFactorization, sigma: str) -> dict:
-    """Invariants with the signature taken from ``sigma``: endo, meyer or paper."""
-    source = {"paper": "paper-formula"}.get(sigma, sigma)
-    inv = invariants_of(p, source, hyperelliptic=(source == "endo"))
-    return {
-        "euler": inv.euler,
-        "signature": inv.signature,
-        "signature_method": inv.signature_method,
-        "chi_h": inv.chi_h,
-        "c1_squared": inv.c1_squared,
-    }
+    """Invariants with the signature taken from ``sigma``, endo or meyer (``invariants_of`` refuses paper)."""
+    return asdict(invariants_of(p, {"paper": "paper-formula"}.get(sigma, sigma)))
 
 
 def h1_results(p: PositiveFactorization) -> dict:

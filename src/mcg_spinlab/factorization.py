@@ -1,9 +1,9 @@
 """Ordered words of positive Dehn twists as first-class data.
 
-A factorization knows its twist curves (homology surrogates), the power of
-the boundary twist its lift factors, and a free-text provenance trail.
-Operations (conjugation, Hurwitz moves, fiber sums, breeding) are pure and
-deterministic; curve labels are display data and never affect the algebra.
+A factorization knows its twist curves (homology surrogates) and the power
+of the boundary twist its lift factors.  Operations (conjugation, Hurwitz
+moves, fiber sums, breeding) are pure and deterministic; curve labels are
+display data and never affect the algebra.
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ class TwistWord:
         name = f"t[{curve.label}]" + (f"^{power}" if power not in (1, -1) else ("^-1" if power == -1 else ""))
         return cls(tuple((curve, e) for _ in range(abs(power))), name=name)
 
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
-
     def inverse(self) -> "TwistWord":
         letters = tuple((c, -e) for c, e in reversed(self.letters))
         name = None
@@ -158,7 +155,6 @@ class PositiveFactorization:
     basis: SurfaceBasis
     twists: tuple[Curve, ...]
     boundary_power: int
-    provenance: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.boundary_power < 0:
@@ -175,9 +171,6 @@ class PositiveFactorization:
 
     def __len__(self) -> int:
         return len(self.twists)
-
-    def with_note(self, note: str) -> "PositiveFactorization":
-        return PositiveFactorization(self.basis, self.twists, self.boundary_power, self.provenance + (note,))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.twists)
@@ -197,9 +190,7 @@ def conjugate(p: PositiveFactorization, word: TwistWord) -> PositiveFactorizatio
     if not word.letters:
         return p
     images = {c: word_image(word, c) for c in dict.fromkeys(p.twists)}
-    twists = tuple(map(images.__getitem__, p.twists))
-    note = f"conjugated by {word.display_name}"
-    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
+    return PositiveFactorization(p.basis, tuple(map(images.__getitem__, p.twists)), p.boundary_power)
 
 
 def hurwitz_move(p: PositiveFactorization, i: int, direction: str) -> PositiveFactorization:
@@ -217,9 +208,7 @@ def hurwitz_move(p: PositiveFactorization, i: int, direction: str) -> PositiveFa
         pair = (b, word_image(TwistWord.of(b, -1), a))
     else:
         raise PreconditionError("direction must be 'left' or 'right'")
-    twists = p.twists[:i] + pair + p.twists[i + 2:]
-    note = f"hurwitz {direction} at {i}"
-    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
+    return PositiveFactorization(p.basis, p.twists[:i] + pair + p.twists[i + 2:], p.boundary_power)
 
 
 def fiber_sum(p1: PositiveFactorization, p2: PositiveFactorization, word: Optional[TwistWord] = None) -> PositiveFactorization:
@@ -227,13 +216,7 @@ def fiber_sum(p1: PositiveFactorization, p2: PositiveFactorization, word: Option
     if p1.basis != p2.basis:
         raise PreconditionError("fiber sum requires equal genus and label scheme")
     q2 = conjugate(p2, word) if word is not None else p2
-    note = f"fiber sum (conjugator {word.display_name})" if word is not None and word.letters else "fiber sum"
-    return PositiveFactorization(
-        p1.basis,
-        p1.twists + q2.twists,
-        p1.boundary_power + p2.boundary_power,
-        p1.provenance + q2.provenance + (note,),
-    )
+    return PositiveFactorization(p1.basis, p1.twists + q2.twists, p1.boundary_power + p2.boundary_power)
 
 
 @dataclass(frozen=True)
@@ -303,9 +286,7 @@ def breed(p: PositiveFactorization, at: int, image: SubsurfaceImage) -> Positive
             f"boundary block occurrence {at} not found ({len(occurrences)} available)"
         )
     pos = occurrences[at]
-    twists = p.twists[:pos] + image.interior + p.twists[pos + 4:]
-    note = f"bred pencil at entry {pos}"
-    return PositiveFactorization(p.basis, twists, p.boundary_power, p.provenance + (note,))
+    return PositiveFactorization(p.basis, p.twists[:pos] + image.interior + p.twists[pos + 4:], p.boundary_power)
 
 
 @dataclass(frozen=True)
@@ -534,7 +515,6 @@ def factorization_to_dict(p: PositiveFactorization) -> dict:
             }
             for c in p.twists
         ],
-        "provenance": list(p.provenance),
     }
     if p.basis.labels != "xy":
         d["labels"] = p.basis.labels
@@ -542,6 +522,7 @@ def factorization_to_dict(p: PositiveFactorization) -> dict:
 
 
 def factorization_from_dict(d: dict) -> PositiveFactorization:
+    """Load a ``factorization_to_dict`` document; keys it does not read are ignored."""
     basis = SurfaceBasis(int(d["genus"]), d.get("labels", "xy"))
     twists = []
     for t in d["twists"]:
@@ -555,6 +536,4 @@ def factorization_from_dict(d: dict) -> PositiveFactorization:
         twists.append(Curve(t["label"], hclass))
         if divisor != 1:
             raise PreconditionError(f"curve {t['label']}: integer class is not primitive (gcd {divisor})")
-    return PositiveFactorization(
-        basis, tuple(twists), int(d["boundary_power"]), tuple(d.get("provenance", ()))
-    )
+    return PositiveFactorization(basis, tuple(twists), int(d["boundary_power"]))

@@ -20,7 +20,7 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its documented domain."""
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z])(\d+)$")
+_LABEL_RE = re.compile(r"([A-Za-z])([0-9]+)")  # ASCII digits only: \d also matches '٣'
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class SurfaceBasis:
         return f"{second}{index - self.genus + 1}"
 
     def label_index(self, label: str) -> int:
-        m = _LABEL_RE.match(label)
+        m = _LABEL_RE.fullmatch(label)
         if m is None:
             raise PreconditionError(f"bad basis label {label!r}")
         letter, num = m.group(1), int(m.group(2))

@@ -3,7 +3,8 @@
 All arithmetic is exact: big integers and Fractions, never floats.  The
 signature comes from three independent sources: Endo's closed form for
 hyperelliptic words with nonseparating cycles, a Meyer-cocycle sum over the
-partial monodromy products, and the fixed value for the bred family.
+partial monodromy products, and the fixed value for the bred family, which
+``constructions.bred_invariants`` applies.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ def euler_characteristic(p: PositiveFactorization) -> int:
     return 4 - 4 * p.genus + len(p)
 
 
-def signature_endo(p: PositiveFactorization, *, hyperelliptic: bool) -> int:
+def signature_endo(p: PositiveFactorization) -> int:
     """Endo's formula restricted to all-nonseparating words: -(g+1)/(2g+1) * l.
 
-    The caller certifies hyperellipticity; entries with zero mod-2 class
-    (separating cycles) are rejected rather than guessed, and a non-integral
-    result means the certificate was wrong.
+    The caller vouches that the word is hyperelliptic; entries with zero mod-2
+    class (separating cycles) are rejected rather than guessed, and a
+    non-integral result means the word was not.
     """
-    if not hyperelliptic:
-        raise PreconditionError("Endo's formula needs a hyperellipticity certificate")
     for c in p.twists:
         if c.mod2.is_zero():
             raise PreconditionError(f"separating cycle {c.label}: out of scope for this formula")
@@ -264,32 +263,23 @@ class FibrationInvariants:
             raise PreconditionError("c1^2 = 2e + 3 sigma violated")
 
 
-_FAMILY_TAG = "family:bred-fibration"
+def invariants_of(p: PositiveFactorization, signature_source: str) -> FibrationInvariants:
+    """Bundle (e, sigma, chi_h, c1^2) using the requested signature source, "endo" or "meyer".
 
-
-def invariants_of(
-    p: PositiveFactorization,
-    signature_source: str,
-    *,
-    hyperelliptic: bool = False,
-) -> FibrationInvariants:
-    """Bundle (e, sigma, chi_h, c1^2) using the requested signature source.
-
-    "paper-formula" is only admissible for factorizations stamped by the bred
-    family pipeline, where sigma = -8(g+1) independently of the breeding count.
+    "endo" trusts the caller that p is hyperelliptic.  "paper-formula" is
+    refused for every word: sigma = -8(g+1) holds for the bred family, which
+    a word cannot vouch for, so ``constructions.bred_invariants(g, k)`` is its
+    only source.
     """
     e = euler_characteristic(p)
     if signature_source == "endo":
-        sigma = signature_endo(p, hyperelliptic=hyperelliptic)
+        sigma = signature_endo(p)
         method = "endo-hyperelliptic"
     elif signature_source == "meyer":
         sigma = signature_meyer(p)
         method = "meyer"
     elif signature_source == "paper-formula":
-        if not any(note.startswith(_FAMILY_TAG) for note in p.provenance):
-            raise PreconditionError("fixed-signature source only applies to the bred family")
-        sigma = -8 * (p.genus + 1)
-        method = "paper-formula"
+        raise PreconditionError("fixed-signature source only applies to the bred family")
     else:
         raise PreconditionError(f"unknown signature source {signature_source!r}")
     if (e + sigma) % 4:

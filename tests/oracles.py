@@ -20,7 +20,7 @@ from mcg_spinlab.constructions import (
 )
 from mcg_spinlab.factorization import PositiveFactorization, check_relation, check_spin
 from mcg_spinlab.homology import IntMatrix, Mod2Matrix, PreconditionError, pairing_vector
-from mcg_spinlab.invariants import _check_region_bound, invariants_of
+from mcg_spinlab.invariants import FibrationInvariants, _check_region_bound, euler_characteristic
 from mcg_spinlab.presentations import fibration_h1
 
 
@@ -81,7 +81,8 @@ def flat_bred_certificate(p: PositiveFactorization) -> BredCertificate:
     """The certificate of a bred word, multiplied, spin-checked and ranked as a flat word.
 
     Each pencil replaces a four-twist boundary block by eight twists, so k is
-    the word's excess length over the double, divided by 4.
+    the word's excess length over the double, divided by 4.  The invariants
+    are the paper's sigma = -8(g+1) with e counted from the word.
     """
     g = p.genus
     k = (len(p) - len(twisted_double(g))) // 4
@@ -95,6 +96,7 @@ def flat_bred_certificate(p: PositiveFactorization) -> BredCertificate:
     if k < 2 * g + 2:
         fast_path = _chain_cover_pushforward(g) <= {c.mod2 for c in p.twists}
     first, second = _chain_reduction_checks(g)
+    e, sigma = euler_characteristic(p), -8 * (g + 1)
     return BredCertificate(
         g=g,
         k=k,
@@ -103,7 +105,7 @@ def flat_bred_certificate(p: PositiveFactorization) -> BredCertificate:
         relation_mod2=relation.mod2,
         relation_integral=relation.integral,
         spin=check_spin(p, spin_form_alternating(p.basis)),
-        invariants=invariants_of(p, "paper-formula"),
+        invariants=FibrationInvariants(e, sigma, "paper-formula", (e + sigma) // 4, 2 * e + 3 * sigma),
         h1_mod2_dimension=h1_dim,
         chain_cover_fast_path=fast_path,
         b2_equals_c1_c5_c9=first,

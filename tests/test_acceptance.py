@@ -9,7 +9,6 @@ from mcg_spinlab.invariants import (
     GeographyPoint,
     enumerate_region,
     euler_characteristic,
-    invariants_of,
     meyer_cocycle,
     realize,
     signature_endo,
@@ -25,6 +24,7 @@ from mcg_spinlab.presentations import (
 )
 from mcg_spinlab.constructions import (
     boundary_conjugators,
+    bred_invariants,
     chain_curves,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
@@ -160,7 +160,7 @@ def test_criterion_04_relation_checks():
 def test_criterion_05_signatures():
     for g in (5, 7):
         u, _ = hyperelliptic_factorizations(g)
-        assert signature_endo(u, hyperelliptic=True) == -4 * g - 4
+        assert signature_endo(u) == -4 * g - 4
         assert signature_meyer(u) == -4 * g - 4
     assert signature_meyer(twisted_double(5)) == -8 * 5 - 8
 
@@ -187,9 +187,8 @@ def test_criterion_06_invariant_formulas():
         image = pencil_images(g)
         p = twisted_double(g)
         for k in range(2 * g + 3):
-            stamped = p.with_note(f"family:bred-fibration g={g} k={k}")
-            inv = invariants_of(stamped, "paper-formula")
-            assert inv.euler == 12 * (g + 1) + 4 * k
+            inv = bred_invariants(g, k)
+            assert inv.euler == euler_characteristic(p) == 12 * (g + 1) + 4 * k
             assert inv.signature == -8 * (g + 1)
             assert inv.chi_h == g + 1 + k
             assert inv.c1_squared == 8 * k
@@ -226,10 +225,9 @@ def test_criterion_07_geography():
             p = breed(p, len(occ) - 1, image)
             built[k] = p
         for k, pt in entries:
-            word = built[k].with_note(f"family:bred-fibration g={g} k={k}")
-            inv = invariants_of(word, "paper-formula")
+            inv = bred_invariants(g, k)
             assert (inv.chi_h, inv.c1_squared) == (pt.m, pt.n)
-            assert euler_characteristic(word) == 12 * (g + 1) + 4 * k
+            assert euler_characteristic(built[k]) == inv.euler == 12 * (g + 1) + 4 * k
     report(7, f"region up to chi_h = 60 matches brute force; all {len(points)} points realized")
 
 

@@ -1,13 +1,25 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 from bisect import bisect_right
 from operator import itemgetter
 
 import pytest
 
-from mcg_spinlab import __version__, constructions, factorization, invariants
-from mcg_spinlab.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, canonical_json, certificate, main
+import mcg_spinlab
+from mcg_spinlab import __version__, constructions, factorization, invariants, presentations
+from mcg_spinlab.cli import (
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    EXIT_VERDICT,
+    FAMILIES,
+    canonical_json,
+    certificate,
+    main,
+)
 from mcg_spinlab.dsl import _MAX_ENTRIES
 from mcg_spinlab.factorization import product_matrix_int
 
@@ -103,6 +115,9 @@ class TestGeography:
                 for _ in texts:
                     pass
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr("sys.stdout", Sink())
         assert main(["geography", "--max-m", "10000"]) == EXIT_OK
         info = invariants._region_chunk.cache_info()
@@ -178,9 +193,10 @@ class TestThmB:
         def refuse(*args):
             raise AssertionError("a warm thm-b checked the flat word")
 
-        for name in ("product_matrix_mod2", "check_spin", "fibration_h1"):
+        for name in ("product_matrix_mod2", "check_spin"):
             monkeypatch.setattr(constructions, name, refuse)
         monkeypatch.setattr(factorization, "product_matrix_mod2", refuse)
+        monkeypatch.setattr(presentations, "fibration_h1", refuse)
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_OK, want)
 
@@ -343,6 +359,27 @@ class TestFamilies:
         assert doc["results"]["euler"] == 12 * 8 + 8
         assert doc["results"]["signature"] == -64
 
+    @pytest.mark.parametrize("family", ["kc", "hyp", "hyp-rot", "double"])
+    def test_invariants_paper_source_needs_the_bred_family(self, capsys, family):
+        code, out, err = run_cli(capsys, "invariants", "--family", family, "--g", "5", "--sigma", "paper", "--json")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "precondition: fixed-signature source only applies to the bred family\n"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_invariants_paper_source_checks_the_family_first(self, capsys, family):
+        cases = [(("--g", "67"), "genus 67 is above the limit 65")]
+        if family == "bred":
+            cases += [
+                (("--g", "6"), "bred fibrations need odd genus >= 5"),
+                (("--g", "5", "--k", "13"), "breeding count must satisfy 0 <= k <= 2g+2"),
+            ]
+        else:
+            cases.append((("--g", "5", "--k", "1"), f"--k applies only to the bred family, not {family}"))
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, "invariants", "--family", family, *argv, "--sigma", "paper")
+            assert (code, out) == (EXIT_PRECONDITION, "")
+            assert err == f"precondition: {message}\n"
+
     @pytest.mark.parametrize(
         "command",
         [("check-spin", "--form", "alternating"), ("check-relation",), ("invariants", "--sigma", "meyer"), ("h1",)],
@@ -494,6 +531,21 @@ class TestRun:
             assert out == ""
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text,label",
+        [
+            ("curve a = y\u0663;", "y\u0663"),  # ARABIC-INDIC DIGIT THREE
+            ("curve b = x\uff13;", "x\uff13"),  # FULLWIDTH DIGIT THREE
+            ("form q = x*:1 y\u0663:1;", "y\u0663"),
+        ],
+    )
+    def test_basis_labels_take_ascii_digits_only(self, tmp_path, capsys, text, label):
+        script = tmp_path / "label.spin"
+        script.write_text(f"basis g=5; {text}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(script))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("script error: 1:") and err.endswith(f"bad basis label {label!r}\n")
+
     def test_runtime_precondition_exit(self, tmp_path, capsys):
         script = tmp_path / "pre.spin"
         script.write_text("basis g=1; curve a = x1; factorization F = a power 0; hurwitz G = F at 5 right;")
@@ -577,6 +629,32 @@ h1 M;
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert err == "precondition: 7:1: fixed-signature source only applies to the bred family\n"
+
+
+def run_subprocess(*argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(mcg_spinlab.__file__))))
+    return subprocess.run(
+        [sys.executable, "-m", "mcg_spinlab.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+    )
+
+
+class TestStdoutNotWritable:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = run_subprocess("thm-b", "--g", "5", "--k", "1", "--json", stdout=full)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stderr == "stdout is not writable: No space left on device\n"
+
+    def test_pipe_closed_early(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_subprocess("geography", "--max-m", "3000", "--json", stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stderr == "stdout is not writable: Broken pipe\n"
 
 
 class TestParserReuse:

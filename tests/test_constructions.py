@@ -27,6 +27,8 @@ from mcg_spinlab.presentations import AbelianGroup, cokernel, fibration_h1, pres
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
+    bred_invariants,
+    bred_word,
     chain_curves,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
@@ -176,7 +178,6 @@ class TestTwistedDouble:
         td = twisted_double(g)
         assert td.twists == p.twists[:start] + boundary * n + p.twists[start + 4 * n:]  # labels and classes
         assert td.boundary_power == p.boundary_power == 2
-        assert td.provenance == (f"twisted double g={g} in boundary block form",)
 
     def test_spin_under_alternating_form(self):
         td = twisted_double(5)
@@ -205,16 +206,24 @@ class TestBredFibration:
         assert cert.verdict
 
     def test_bounds(self):
-        with pytest.raises(PreconditionError):
-            bred_fibration(5, 13)
-        with pytest.raises(PreconditionError):
-            bred_fibration(6, 0)
+        for build in (bred_fibration, bred_word, bred_invariants):
+            for g, k in ((5, 13), (5, -1)):
+                with pytest.raises(PreconditionError, match="breeding count"):
+                    build(g, k)
+            for g in (3, 6):
+                with pytest.raises(PreconditionError, match="odd genus"):
+                    build(g, 0)
+
+    def test_returns_the_word_and_its_invariants(self):
+        for g, k in ((5, 0), (5, 7), (9, 20)):
+            p, cert = bred_fibration(g, k)
+            assert p == bred_word(g, k)
+            assert cert.invariants == bred_invariants(g, k)
 
     def test_monotone_lengths(self):
         lengths = []
         for k in range(4):
-            p, _ = bred_fibration(5, k, certify=False)
-            lengths.append(len(p))
+            lengths.append(len(bred_word(5, k)))
         assert lengths == [88, 92, 96, 100]
 
     @pytest.mark.parametrize(
@@ -226,12 +235,20 @@ class TestBredFibration:
         p = twisted_double(g)
         for k in range(max(ks) + 1):
             if k in ks:
-                q, _ = bred_fibration(g, k, certify=False)
+                q = bred_word(g, k)
                 assert q.twists == p.twists  # labels and classes
                 assert q.boundary_power == p.boundary_power
-                assert q.provenance == p.provenance + (f"family:bred-fibration g={g} k={k}",)
             if k < max(ks):
                 p = breed(p, len(boundary_block_occurrences(p, image)) - 1, image)
+
+
+class TestBredInvariants:
+    def test_euler_counts_the_built_word(self):
+        for g in range(5, 27, 2):
+            for k in range(2 * g + 3):
+                inv = bred_invariants(g, k)
+                assert inv.euler == euler_characteristic(bred_word(g, k)), (g, k)
+                assert (inv.signature, inv.signature_method) == (-8 * (g + 1), "paper-formula")
 
 
 class TestBredCertificateFromPieces:

@@ -37,6 +37,7 @@ from mcg_spinlab.presentations import presentation_from_text
 from mcg_spinlab.constructions import (
     boundary_conjugators,
     bred_fibration,
+    bred_word,
     chain_curves,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
@@ -225,16 +226,15 @@ class TestFiberSum:
 class TestBreed:
     def test_length_grows_by_four(self):
         for k in (0, 1, 4):
-            p, _ = bred_fibration(5, k, certify=False)
+            p = bred_word(5, k)
             assert len(p) == 16 * 5 + 8 + 4 * k
 
     def test_zero_breeds_is_block_form(self):
-        p, _ = bred_fibration(5, 0, certify=False)
-        assert p == twisted_double(5).with_note("family:bred-fibration g=5 k=0")
+        assert bred_word(5, 0) == twisted_double(5)
 
     def test_mod2_product_still_identity(self):
         for k in (1, 3, 12):
-            p, _ = bred_fibration(5, k, certify=False)
+            p = bred_word(5, k)
             assert product_matrix_mod2(p).is_identity()
 
     def test_occurrence_accounting(self):
@@ -266,7 +266,7 @@ class TestCheckRelation:
 
     def test_bred_integral_unavailable(self):
         for k in (1, 6, 12):
-            p, _ = bred_fibration(5, k, certify=False)
+            p = bred_word(5, k)
             r = check_relation(p)
             assert r.mod2 and r.integral is None
 
@@ -480,7 +480,7 @@ class TestProductMatrixMod2:
     def test_bred_words(self):
         # bred words carry mod-2 classes only: the row oracle is the reference
         for g, k in ((5, 1), (5, 3), (7, 16), (9, 2)):
-            p, _ = bred_fibration(g, k, certify=False)
+            p = bred_word(g, k)
             assert not p.has_integer_classes()
             assert product_matrix_mod2(p) == row_product_mod2(p)
             truncated = PositiveFactorization(p.basis, p.twists[: len(p) // 2 + 1], 0)
@@ -490,7 +490,7 @@ class TestProductMatrixMod2:
 
 class TestCheckSpin:
     def test_bred_fibration_passes(self):
-        p, _ = bred_fibration(5, 1, certify=False)
+        p = bred_word(5, 1)
         cert = check_spin(p, spin_form_alternating(p.basis))
         assert cert.verdict and cert.boundary_power == 2
 
@@ -529,10 +529,7 @@ class TestSubsurfaceImage:
 
 class TestDeterminism:
     def test_pipeline_replay_is_bit_identical(self):
-        first, _ = bred_fibration(7, 2, certify=False)
-        second, _ = bred_fibration(7, 2, certify=False)
-        assert first == second
-        assert first.provenance == second.provenance
+        assert bred_fibration(7, 2) == bred_fibration(7, 2)
 
     def test_from_dict_rejects_int_that_does_not_reduce(self):
         d = {"genus": 1, "boundary_power": 0, "twists": [{"label": "c", "mod2": "x1", "int": [0, 1]}]}
@@ -549,21 +546,27 @@ class TestDeterminism:
         with pytest.raises(PreconditionError, match="zero mod-2 class"):
             factorization_from_dict(d)
 
+    def test_from_dict_ignores_a_provenance_trail(self):
+        # keys the loader does not read, such as a provenance list, are ignored
+        p = korkmaz_cadavid(3)
+        d = factorization_to_dict(p)
+        assert factorization_from_dict({**d, "provenance": ["korkmaz-cadavid building block g=3"]}) == p
+
     def test_json_round_trip(self):
         words = (
             korkmaz_cadavid(3),
             korkmaz_cadavid(5),
             *hyperelliptic_factorizations(5),
             twisted_double(5),
-            bred_fibration(5, 2, certify=False)[0],
-            bred_fibration(5, 6, certify=False)[0],
+            bred_word(5, 2),
+            bred_word(5, 6),
         )
         for p in words:
             d = factorization_to_dict(p)
             text = json.dumps(d, sort_keys=True)
             q = factorization_from_dict(json.loads(text))
             assert q == p
-            assert q.provenance == p.provenance
+            assert "provenance" not in d
             assert [c.mod2 for c in q.twists] == [c.mod2 for c in p.twists]
             assert [c.int_class for c in q.twists] == [c.int_class for c in p.twists]
             assert json.dumps(factorization_to_dict(q), sort_keys=True) == text

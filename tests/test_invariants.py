@@ -26,7 +26,8 @@ from mcg_spinlab.invariants import (
     signature_meyer,
 )
 from mcg_spinlab.constructions import (
-    bred_fibration,
+    bred_invariants,
+    bred_word,
     chain_curves,
     hyperelliptic_factorizations,
     korkmaz_cadavid,
@@ -67,7 +68,7 @@ class TestEuler:
     def test_bred_formula(self):
         for g in (5, 7):
             for k in (0, 2, 2 * g + 2):
-                p, _ = bred_fibration(g, k, certify=False)
+                p = bred_word(g, k)
                 assert euler_characteristic(p) == 12 * (g + 1) + 4 * k
 
     def test_degenerate_arithmetic(self):
@@ -81,30 +82,25 @@ class TestEndo:
     def test_hyperelliptic_totals(self):
         for g in (5, 7, 9):
             u, _ = hyperelliptic_factorizations(g)
-            assert signature_endo(u, hyperelliptic=True) == -4 * g - 4
+            assert signature_endo(u) == -4 * g - 4
 
     def test_double_totals(self):
         for g in (5, 7):
             td = twisted_double(g)
-            assert signature_endo(td, hyperelliptic=True) == -8 * g - 8
+            assert signature_endo(td) == -8 * g - 8
 
     def test_chain_word_arithmetic(self):
         g = 5
         ch = chain_curves(g)
         p = PositiveFactorization(ch[0].basis, tuple(ch), 0)
-        assert signature_endo(p, hyperelliptic=True) == -(g + 1)
-
-    def test_requires_certificate(self):
-        u, _ = hyperelliptic_factorizations(5)
-        with pytest.raises(PreconditionError):
-            signature_endo(u, hyperelliptic=False)
+        assert signature_endo(p) == -(g + 1)
 
     def test_rejects_separating_cycle(self):
         b = SurfaceBasis(2)
         sep = Curve("s", b.zero_int(), nonseparating=False)
         p = PositiveFactorization(b, (sep,), 0)
         with pytest.raises(PreconditionError):
-            signature_endo(p, hyperelliptic=True)
+            signature_endo(p)
 
     def test_non_integral_rejected(self):
         # one twist at genus 2: -(3/5) is not an integer
@@ -112,7 +108,7 @@ class TestEndo:
         c = Curve("c", b.unit_int(0))
         p = PositiveFactorization(b, (c,), 0)
         with pytest.raises(PreconditionError):
-            signature_endo(p, hyperelliptic=True)
+            signature_endo(p)
 
 
 class TestMeyer:
@@ -146,7 +142,7 @@ class TestMeyer:
     def test_hyperelliptic_agreement(self):
         for g in (5, 7, 9):
             for word in hyperelliptic_factorizations(g):
-                assert signature_meyer(word) == signature_endo(word, hyperelliptic=True) == -4 * g - 4
+                assert signature_meyer(word) == signature_endo(word) == -4 * g - 4
 
     def test_rank_one_term_matches_oracle(self):
         # every step of the partial-product sum, against the general Meyer cocycle
@@ -174,7 +170,7 @@ class TestMeyer:
         assert signature_meyer(twisted_double(5)) == 2 * signature_meyer(u) == -48
 
     def test_missing_integer_classes(self):
-        p, _ = bred_fibration(5, 1, certify=False)
+        p = bred_word(5, 1)
         with pytest.raises(PreconditionError):
             signature_meyer(p)
 
@@ -187,23 +183,19 @@ class TestMeyer:
 
 class TestInvariantsOf:
     def test_bred_small_k(self):
-        p, _ = bred_fibration(5, 2, certify=False)
-        inv = invariants_of(p, "paper-formula")
+        inv = bred_invariants(5, 2)
         assert (inv.euler, inv.signature, inv.chi_h, inv.c1_squared) == (80, -48, 8, 16)
-        p, _ = bred_fibration(5, 3, certify=False)
-        inv = invariants_of(p, "paper-formula")
+        inv = bred_invariants(5, 3)
         assert (inv.euler, inv.signature, inv.chi_h, inv.c1_squared) == (84, -48, 9, 24)
         assert inv.chi_h == 5 + 1 + 3 and inv.c1_squared == 8 * 3
 
     def test_bred_corner(self):
-        p, _ = bred_fibration(5, 0, certify=False)
-        inv = invariants_of(p, "paper-formula")
+        inv = bred_invariants(5, 0)
         assert (inv.chi_h, inv.c1_squared) == (6, 0)
 
     def test_consistency_identity(self):
         for g, k in ((5, 0), (5, 3), (7, 7)):
-            p, _ = bred_fibration(g, k, certify=False)
-            inv = invariants_of(p, "paper-formula")
+            inv = bred_invariants(g, k)
             assert 4 * inv.chi_h - inv.euler - inv.signature == 0
 
     def test_meyer_source(self):
@@ -212,9 +204,11 @@ class TestInvariantsOf:
         assert (inv.euler, inv.signature, inv.chi_h, inv.c1_squared) == (28, -24, 1, -16)
 
     def test_fixed_formula_restricted_to_family(self):
-        u, _ = hyperelliptic_factorizations(5)
-        with pytest.raises(PreconditionError):
-            invariants_of(u, "paper-formula")
+        # a word cannot vouch for its family, so the bred words are refused too
+        words = (*hyperelliptic_factorizations(5), korkmaz_cadavid(5), twisted_double(5), bred_word(5, 0))
+        for p in (*words, bred_word(5, 3)):
+            with pytest.raises(PreconditionError, match="^fixed-signature source only applies to the bred family$"):
+                invariants_of(p, "paper-formula")
 
     def test_type_invariants_enforced(self):
         with pytest.raises(PreconditionError):
@@ -251,6 +245,11 @@ class TestGeography:
             for k in range(0, 2 * g + 3):
                 pt = GeographyPoint(g + 1 + k, 8 * k)
                 assert realize(pt) == (g, k)
+
+    def test_bred_invariants_round_trip_through_realize(self):
+        for pt in enumerate_region(60):
+            inv = bred_invariants(*realize(pt))
+            assert (inv.chi_h, inv.c1_squared) == (pt.m, pt.n)
 
     def test_guard(self):
         with pytest.raises(PreconditionError):
